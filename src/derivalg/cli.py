@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -29,7 +30,7 @@ from .sexpr import (
     parse_indexed,
     parse_word,
 )
-from .structconst import builtin, check_identity, named_identity, product
+from .structconst import _NAMED, builtin, check_identity, named_identity, product
 from .varieties import (
     Identity,
     default_truncation,
@@ -37,9 +38,6 @@ from .varieties import (
     quotient_space,
     variety,
 )
-
-_NAMED_IDENTITIES = ("left_symmetric", "novikov", "jacobi")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -133,11 +131,15 @@ def _payload(text: str) -> str:
     return sys.stdin.read().strip() if text == "-" else text
 
 
-def _identity_signature(args, text: str) -> Signature:
-    import re
-
+def _parse_identity(
+    text: str, arity: int, symmetric: bool, unital: bool
+) -> Element:
+    """Parse an identity payload (read once) over as many variables as its
+    highest generator index."""
+    text = _payload(text)
     found = [int(m) for m in re.findall(r"x([1-9]\d*)", text)]
-    return Signature(args.arity, args.symmetric, args.unital, max(found, default=1))
+    sig = Signature(arity, symmetric, unital, max(found, default=1))
+    return parse_element(text, sig)
 
 
 def _context(args, sig: Signature):
@@ -146,8 +148,7 @@ def _context(args, sig: Signature):
     if not names:
         return None, None
     relations = [
-        parse_element(_payload(t), _identity_signature(args, _payload(t)))
-        for t in names
+        _parse_identity(t, args.arity, args.symmetric, args.unital) for t in names
     ]
     truncation = (
         args.truncate if args.truncate is not None else default_truncation(sig)
@@ -271,15 +272,10 @@ def _run_reduce(args) -> int:
 
 def _run_check_identity(args) -> int:
     alg = builtin(args.builtin)
-    if args.identity in _NAMED_IDENTITIES:
+    if args.identity in _NAMED:
         ident = named_identity(args.identity)
     else:
-        text = _payload(args.identity)
-        import re
-
-        found = [int(m) for m in re.findall(r"x([1-9]\d*)", text)]
-        sig = Signature(2, False, False, max(found, default=1))
-        ident = Identity(parse_element(text, sig))
+        ident = Identity(_parse_identity(args.identity, 2, False, False))
     lo, hi = parse_index_range(args.index_range)
     ce = check_identity(alg, ident, lo, hi)
     sig = _signature(args)
@@ -344,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         return _RUNNERS[args.command](args)
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 1
 
 

@@ -21,27 +21,24 @@ drive the bounded nilpotency probe :func:`mat_is_nilpotent`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .deriv import Derivation, apply
 from .freealg import (
     UNKNOWN,
     AlgebraError,
     Element,
+    LinearCombination,
     Signature,
     TruncationError,
     Word,
     bracket_words,
+    doubled_signature,
     format_linear,
     generator,
     is_canonical,
     normalize,
 )
-
-
-def doubled_signature(sig: Signature) -> Signature:
-    """The same operations over ``x_1..x_n`` plus partners ``y_1..y_n``."""
-    return Signature(sig.arity, sig.symmetric, sig.unital, 2 * sig.num_generators)
 
 
 def partner(sig: Signature, j: int) -> Word:
@@ -140,75 +137,34 @@ def _mono_str(mono: tuple[EnvGenerator, ...]) -> str:
     return "".join(str(g) for g in mono) if mono else "1"
 
 
-class EnvElement:
+def _check_mono(sig: Signature, mono) -> tuple[EnvGenerator, ...]:
+    mono = tuple(mono)
+    for g in mono:
+        if not isinstance(g, EnvGenerator) or g.sig != sig:
+            raise AlgebraError("operator factor signature mismatch")
+    return mono
+
+
+class EnvElement(LinearCombination):
     """Rational combination of formal products of one-hole operators.
 
-    The empty product is the identity operator.  Structural equality of
+    The empty product is the identity operator; terms are sorted by
+    product length, then factor by factor.  Structural equality of
     normal forms is faithful for the free action; in a quotient use
     :func:`env_is_zero` on a difference for the semantic comparison.
     """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ()
 
-    def __init__(self, sig: Signature, data: Mapping | Iterable = ()):
-        items = data.items() if isinstance(data, Mapping) else data
-        acc: dict[tuple[EnvGenerator, ...], Fraction] = {}
-        for mono, c in items:
-            mono = tuple(mono)
-            for g in mono:
-                if not isinstance(g, EnvGenerator) or g.sig != sig:
-                    raise AlgebraError("operator factor signature mismatch")
-            c = Fraction(c)
-            if c:
-                total = acc.get(mono, Fraction(0)) + c
-                if total:
-                    acc[mono] = total
-                else:
-                    del acc[mono]
-        self.sig = sig
-        self.terms = tuple(sorted(acc.items(), key=lambda t: _mono_key(t[0])))
-
-    @classmethod
-    def zero(cls, sig: Signature) -> "EnvElement":
-        return cls(sig)
+    #: the parent slot, read as the signature
+    sig = LinearCombination._parent
+    _order = staticmethod(lambda t: _mono_key(t[0]))
+    _check_key = staticmethod(_check_mono)
+    _mismatch = "operator signature mismatch"
 
     @classmethod
     def one(cls, sig: Signature) -> "EnvElement":
         return cls(sig, [((), Fraction(1))])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, mono: tuple[EnvGenerator, ...]) -> Fraction:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
-    def _check(self, other: "EnvElement") -> None:
-        if self.sig != other.sig:
-            raise AlgebraError("operator signature mismatch")
-
-    def __add__(self, other: "EnvElement") -> "EnvElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return EnvElement(self.sig, acc)
-
-    def __sub__(self, other: "EnvElement") -> "EnvElement":
-        return self + (-other)
-
-    def __neg__(self) -> "EnvElement":
-        return EnvElement(self.sig, [(m, -c) for m, c in self.terms])
-
-    def scale(self, c) -> "EnvElement":
-        c = Fraction(c)
-        return EnvElement(self.sig, [(m, c * v) for m, v in self.terms])
-
-    def __rmul__(self, c) -> "EnvElement":
-        return self.scale(c)
 
     def __mul__(self, other):
         if isinstance(other, EnvElement):
@@ -220,17 +176,6 @@ class EnvElement:
                     acc[m] = acc.get(m, Fraction(0)) + c1 * c2
             return EnvElement(self.sig, acc)
         return self.scale(other)
-
-    def __truediv__(self, c) -> "EnvElement":
-        return self.scale(Fraction(1, 1) / Fraction(c))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return self.sig == other.sig and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.sig, self.terms))
 
     def __str__(self) -> str:
         return format_linear((_mono_str(m), c) for m, c in reversed(self.terms))
@@ -259,11 +204,7 @@ def env_generator(sig: Signature, args: Sequence, slot: int | None = None) -> En
         expanded = [
             (c * cw, ws + [w]) for c, ws in expanded for w, cw in pairs
         ]
-    acc: dict[tuple[EnvGenerator, ...], Fraction] = {}
-    for c, ws in expanded:
-        mono = (EnvGenerator(sig, ws, slot),)
-        acc[mono] = acc.get(mono, Fraction(0)) + c
-    return EnvElement(sig, acc)
+    return EnvElement(sig, [((EnvGenerator(sig, ws, slot),), c) for c, ws in expanded])
 
 
 def _holds_partner(w: Word, n: int) -> bool:
@@ -279,7 +220,7 @@ def fox_derivatives(b: Element) -> tuple[EnvElement, ...]:
     read off by peeling the root-to-partner path of every term."""
     sig = b.sig
     n = sig.num_generators
-    out: list[dict[tuple[EnvGenerator, ...], Fraction]] = [dict() for _ in range(n)]
+    out: list[list] = [[] for _ in range(n)]
     for w, c in omega(b):
         factors = []
         cur = w
@@ -290,10 +231,8 @@ def fox_derivatives(b: Element) -> tuple[EnvElement, ...]:
                 EnvGenerator(sig, others, None if sig.symmetric else k + 1)
             )
             cur = cur.children[k]
-        j = cur.gen - n
-        mono = tuple(factors)
-        out[j - 1][mono] = out[j - 1].get(mono, Fraction(0)) + c
-    return tuple(EnvElement(sig, d) for d in out)
+        out[cur.gen - n - 1].append((tuple(factors), c))
+    return tuple(EnvElement(sig, terms) for terms in out)
 
 
 class JacobianMatrix:
@@ -391,11 +330,7 @@ def _act(u: EnvElement, a: Element, space) -> Element:
     for mono, c in u.terms:
         cur = a
         for g in reversed(mono):
-            terms: dict[Word, Fraction] = {}
-            for w, cw in cur:
-                nw = bracket_words(sig, g.insert(w))
-                terms[nw] = terms.get(nw, Fraction(0)) + cw
-            cur = Element(sig, terms)
+            cur = Element(sig, [(bracket_words(sig, g.insert(w)), cw) for w, cw in cur])
             if space is not None:
                 cur = space.reduce(cur)
             if cur.is_zero:

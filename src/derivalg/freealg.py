@@ -17,7 +17,7 @@ lexicographically by their children.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -65,6 +65,11 @@ class Signature:
             raise AlgebraError("a unit is only supported in the binary case")
         if self.num_generators < 1:
             raise AlgebraError("need at least one generator")
+
+
+def doubled_signature(sig: Signature) -> Signature:
+    """The same operations over ``x_1..x_n`` plus partners ``y_1..y_n``."""
+    return replace(sig, num_generators=2 * sig.num_generators)
 
 
 _NODE = -1
@@ -271,54 +276,58 @@ def format_linear(items: Iterable[tuple[str, Fraction]]) -> str:
     return "".join(chunks) if chunks else "0"
 
 
-class Element:
-    """A finite rational linear combination of canonical words.
+class LinearCombination:
+    """A finite rational linear combination of keys over a parent.
 
-    Terms are stored as an association tuple sorted in increasing word
-    order, which makes equality, hashing and printing deterministic.
-    Supports addition, subtraction, scalar multiplication and (in the
-    binary case) ``a * b`` as the bracket.
+    The one sparse core behind :class:`Element`, ``envfox.EnvElement``
+    and ``structconst.IndexedElement``.  Repeated keys are summed, zero
+    coefficients dropped, and ``terms`` is an association tuple sorted by
+    the subclass's ``_order`` (a sort key on ``(key, coefficient)`` pairs;
+    ``None`` sorts the keys naturally), which makes equality, hashing and
+    printing deterministic.  A subclass exposes the parent under its own
+    name, may validate and convert every key through ``_check_key``, and
+    defines its own product and printing.
     """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("_parent", "terms")
 
-    def __init__(self, sig: Signature, data: Mapping[Word, object] | Iterable = ()):
+    _order = None
+    _check_key = None
+    _mismatch = "mixed parents"
+
+    def __init__(self, parent, data: Mapping | Iterable = ()):
         items = data.items() if isinstance(data, Mapping) else data
-        acc: dict[Word, Fraction] = {}
-        for w, c in items:
+        check = self._check_key
+        if check is not None:
+            items = ((check(parent, k), c) for k, c in items)
+        acc: dict = {}
+        for k, c in items:
             c = Fraction(c)
             if c:
-                prev = acc.get(w)
+                prev = acc.get(k)
                 total = c if prev is None else prev + c
                 if total:
-                    acc[w] = total
+                    acc[k] = total
                 elif prev is not None:
-                    del acc[w]
-        self.sig = sig
-        self.terms = tuple(sorted(acc.items(), key=lambda t: t[0].key))
+                    del acc[k]
+        self._parent = parent
+        self.terms = tuple(sorted(acc.items(), key=self._order))
 
     @classmethod
-    def zero(cls, sig: Signature) -> "Element":
-        return cls(sig)
-
-    @classmethod
-    def from_word(cls, sig: Signature, w: Word, coeff=1) -> "Element":
-        return cls(sig, [(w, coeff)])
+    def zero(cls, parent):
+        return cls(parent)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, w: Word) -> Fraction:
-        for u, c in self.terms:
-            if u == w:
+    def coeff(self, key) -> Fraction:
+        for k, c in self.terms:
+            if k == key:
                 return c
         return Fraction(0)
 
-    def support(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.terms)
-
-    def __iter__(self) -> Iterator[tuple[Word, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[object, Fraction]]:
         return iter(self.terms)
 
     def __len__(self) -> int:
@@ -327,41 +336,75 @@ class Element:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _check(self, other: "Element") -> None:
-        if self.sig != other.sig:
-            raise AlgebraError("mixed signatures")
+    def _check(self, other: "LinearCombination") -> None:
+        if self._parent != other._parent:
+            raise AlgebraError(self._mismatch)
 
-    def __add__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         acc = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc.get(w, 0) + c
-        return Element(self.sig, acc)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, 0) + c
+        return type(self)(self._parent, acc)
 
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
+    def __sub__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         acc = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc.get(w, 0) - c
-        return Element(self.sig, acc)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, 0) - c
+        return type(self)(self._parent, acc)
 
-    def __neg__(self) -> "Element":
-        return Element(self.sig, [(w, -c) for w, c in self.terms])
+    def __neg__(self):
+        return type(self)(self._parent, [(k, -c) for k, c in self.terms])
 
-    def scale(self, c) -> "Element":
+    def scale(self, c):
         c = Fraction(c)
         if not c:
-            return Element(self.sig)
-        return Element(self.sig, [(w, c * k) for w, k in self.terms])
+            return type(self)(self._parent)
+        return type(self)(self._parent, [(k, c * v) for k, v in self.terms])
 
-    def __rmul__(self, c) -> "Element":
+    def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
             return self.scale(c)
         return NotImplemented
+
+    def __truediv__(self, c):
+        return self.scale(Fraction(1, 1) / Fraction(c))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._parent == other._parent and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self._parent, self.terms))
+
+
+class Element(LinearCombination):
+    """A finite rational linear combination of canonical words.
+
+    Terms are sorted in increasing word order.  Supports addition,
+    subtraction, scalar multiplication and (in the binary case) ``a * b``
+    as the bracket.
+    """
+
+    __slots__ = ()
+
+    #: the parent slot, read as the signature
+    sig = LinearCombination._parent
+    _order = staticmethod(lambda t: t[0].key)
+    _mismatch = "mixed signatures"
+
+    @classmethod
+    def from_word(cls, sig: Signature, w: Word, coeff=1) -> "Element":
+        return cls(sig, [(w, coeff)])
+
+    def support(self) -> tuple[Word, ...]:
+        return tuple(w for w, _ in self.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -372,19 +415,6 @@ class Element:
             return bracket([self, other])
         return NotImplemented
 
-    def __truediv__(self, c) -> "Element":
-        return self.scale(Fraction(1, 1) / Fraction(c))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.sig == other.sig
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sig, self.terms))
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({w.length for w, _ in self.terms}))
 
@@ -393,10 +423,6 @@ class Element:
 
     def homogeneous_parts(self) -> dict[int, "Element"]:
         return {d: self.degree_part(d) for d in self.degrees()}
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def __str__(self) -> str:
         return format_linear((str(w), c) for w, c in reversed(self.terms))

@@ -226,7 +226,6 @@ def span_check(
             by_degree.setdefault(s, []).append(part)
 
     basis: dict[int, list[Derivation]] = {}
-    reducers: dict[int, RowReducer] = {}
     rows = []
     for s in range(0, max_degree + 1):
         words = enumerate_reduced(sig, s + 1)
@@ -245,6 +244,5 @@ def span_check(
                 for v in basis.get(s - a, ()):
                     offer(lsym_mul(u, v))
         basis[s] = kept
-        reducers[s] = red
         rows.append((s, len(kept), len(words)))
     return SpanReport(sig, max_degree, tuple(rows))

@@ -18,11 +18,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .freealg import (
     AlgebraError,
     Element,
+    LinearCombination,
     Signature,
     Word,
     format_linear,
@@ -108,60 +109,22 @@ class IndexedAlgebra:
         return f"IndexedAlgebra({self.name})"
 
 
-class IndexedElement:
-    """Finite rational combination of basis vectors of an IndexedAlgebra."""
+def _check_index(alg: IndexedAlgebra, i: int) -> int:
+    if not alg.contains(i):
+        raise AlgebraError(f"index {i} outside {alg.name}")
+    return i
 
-    __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: IndexedAlgebra, data: Mapping | Iterable = ()):
-        items = data.items() if isinstance(data, Mapping) else data
-        acc: dict[int, Fraction] = {}
-        for i, c in items:
-            if not alg.contains(i):
-                raise AlgebraError(f"index {i} outside {alg.name}")
-            c = Fraction(c)
-            if c:
-                total = acc.get(i, Fraction(0)) + c
-                if total:
-                    acc[i] = total
-                else:
-                    del acc[i]
-        self.alg = alg
-        self.terms = tuple(sorted(acc.items()))
+class IndexedElement(LinearCombination):
+    """Finite rational combination of basis vectors of an IndexedAlgebra,
+    with terms in increasing index order."""
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
-    def coeff(self, i: int) -> Fraction:
-        for j, c in self.terms:
-            if j == i:
-                return c
-        return Fraction(0)
-
-    def _check(self, other: "IndexedElement") -> None:
-        if self.alg != other.alg:
-            raise AlgebraError("elements of different indexed algebras")
-
-    def __add__(self, other: "IndexedElement") -> "IndexedElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for i, c in other.terms:
-            acc[i] = acc.get(i, Fraction(0)) + c
-        return IndexedElement(self.alg, acc)
-
-    def __sub__(self, other: "IndexedElement") -> "IndexedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "IndexedElement":
-        return IndexedElement(self.alg, [(i, -c) for i, c in self.terms])
-
-    def scale(self, c) -> "IndexedElement":
-        c = Fraction(c)
-        return IndexedElement(self.alg, [(i, c * v) for i, v in self.terms])
-
-    def __rmul__(self, c) -> "IndexedElement":
-        return self.scale(c)
+    #: the parent slot, read as the algebra
+    alg = LinearCombination._parent
+    _check_key = staticmethod(_check_index)
+    _mismatch = "elements of different indexed algebras"
 
     def __mul__(self, other):
         if isinstance(other, IndexedElement):
@@ -173,17 +136,6 @@ class IndexedElement:
                         acc[i] = acc.get(i, Fraction(0)) + cs * ct * c
             return IndexedElement(self.alg, acc)
         return self.scale(other)
-
-    def __truediv__(self, c) -> "IndexedElement":
-        return self.scale(Fraction(1, 1) / Fraction(c))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexedElement):
-            return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.alg, self.terms))
 
     def __str__(self) -> str:
         return format_linear((self.alg.basis_name(i), c) for i, c in self.terms)

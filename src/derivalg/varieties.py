@@ -26,9 +26,10 @@ probe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .freealg import (
     UNIT,
@@ -40,6 +41,7 @@ from .freealg import (
     Word,
     bracket,
     bracket_words,
+    doubled_signature,
     enumerate_reduced,
     generator,
     generator_degrees,
@@ -99,13 +101,18 @@ class Identity:
         return f"Identity({self.element})"
 
 
-def _multilinear_part(e: Element, nvars: int) -> Element:
+def _linear_substitution(
+    ident: Identity, images: dict[int, Element], linear_in: Sequence[int]
+) -> Identity:
+    """Substitute ``images`` into the identity and keep the terms of
+    degree exactly one in each generator of ``linear_in``."""
+    expanded = substitute(ident.element, images)
     keep = []
-    for w, c in e.terms:
+    for w, c in expanded.terms:
         degs = generator_degrees(w)
-        if all(degs.get(i, 0) == 1 for i in range(1, nvars + 1)):
+        if all(degs.get(i, 0) == 1 for i in linear_in):
             keep.append((w, c))
-    return Element(e.sig, keep)
+    return Identity(Element(expanded.sig, keep))
 
 
 def multilinearize(ident: Identity) -> Identity:
@@ -120,7 +127,7 @@ def multilinearize(ident: Identity) -> Identity:
         return ident
     sig = ident.element.sig
     total = sum(ident.multidegree)
-    new_sig = Signature(sig.arity, sig.symmetric, sig.unital, total)
+    new_sig = replace(sig, num_generators=total)
     fresh = [Element.from_word(new_sig, generator(j)) for j in range(1, total + 1)]
     images: dict[int, Element] = {}
     pos = 0
@@ -132,8 +139,7 @@ def multilinearize(ident: Identity) -> Identity:
             img = img + fresh[j]
         images[i] = img
         pos += d
-    expanded = substitute(ident.element, images)
-    return Identity(_multilinear_part(expanded, total))
+    return _linear_substitution(ident, images, range(1, total + 1))
 
 
 def partial_linearize(ident: Identity, var: int = 1) -> Identity:
@@ -146,19 +152,14 @@ def partial_linearize(ident: Identity, var: int = 1) -> Identity:
     if d < 2:
         raise AlgebraError(f"variable {var} has degree {d}; nothing to linearize")
     sig = ident.element.sig
-    new_sig = Signature(sig.arity, sig.symmetric, sig.unital, sig.num_generators + 1)
+    new_sig = replace(sig, num_generators=sig.num_generators + 1)
     fresh = Element.from_word(new_sig, generator(new_sig.num_generators))
     images = {
         i: Element.from_word(new_sig, generator(i))
         for i in range(1, sig.num_generators + 1)
     }
     images[var] = images[var] + fresh
-    expanded = substitute(ident.element, images)
-    keep = []
-    for w, c in expanded.terms:
-        if generator_degrees(w).get(new_sig.num_generators, 0) == 1:
-            keep.append((w, c))
-    return Identity(Element(new_sig, keep))
+    return _linear_substitution(ident, images, (new_sig.num_generators,))
 
 
 @dataclass(frozen=True)
@@ -437,14 +438,10 @@ class QuotientSpace:
     def doubled(self) -> "QuotientSpace":
         """The same variety presented on twice as many generators, used
         as the coefficient algebra for universal-derivation computations."""
-        dsig = Signature(
-            self.sig.arity,
-            self.sig.symmetric,
-            self.sig.unital,
-            2 * self.sig.num_generators,
-        )
         return quotient_space(
-            VarietyPresentation(dsig, self.presentation.identities),
+            VarietyPresentation(
+                doubled_signature(self.sig), self.presentation.identities
+            ),
             self.truncation,
         )
 

@@ -233,3 +233,20 @@ def test_every_command_json_validates(capsys):
         doc = json.loads(out)
         jsonschema.validate(doc, checker)
         assert doc["version"]
+
+
+def test_stdin_identity_read_once(capsys, monkeypatch):
+    # the identity's text and its variable count come from one read
+    monkeypatch.setattr("sys.stdin", io.StringIO("((x1 x2) x1)\n"))
+    code, out, err = run(capsys, "quotient", "--identity", "-", "--degree", "3")
+    assert (code, err) == (0, "")
+    assert out == "degree 3\ndimension 0\n"
+
+
+def test_deep_nesting_exits_1(capsys):
+    comb = "(" * 1200 + "x1" + " x1)" * 1200
+    code, out, err = run(capsys, "apply", "D[(x1 x1)]", comb)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
