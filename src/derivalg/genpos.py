@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .deriv import Derivation, apply, euler_derivation, grading_decompose, lsym_mul
 from .freealg import (
@@ -35,7 +35,6 @@ from .freealg import (
     format_linear,
     generator,
     is_canonical,
-    node,
 )
 from .rowreduce import RowReducer
 

@@ -86,25 +86,42 @@ class RowReducer:
 
         Maps each pivot column to its negated tail, expressed over
         non-pivot columns only, so a single substitution pass fully
-        reduces any vector.
+        reduces any vector.  The back-substitution runs fraction-free:
+        a rule is an integer vector over one positive denominator until
+        it is finished, and only then converted to ``Fraction``.
         """
         if self._rules is None:
+            # pivot column -> (numerators, denominator) of its rule
+            exact: dict[int, tuple[dict[int, int], int]] = {}
             rules: dict[int, dict[int, Fraction]] = {}
             for lead in sorted(self._pivots, reverse=True):
                 piv = self._pivots[lead]
-                lc = piv[lead]
-                rhs: dict[int, Fraction] = {}
+                den = 1
+                for j in piv:
+                    sub = exact.get(j)
+                    if sub is not None:
+                        den = den * sub[1] // gcd(den, sub[1])
+                num: dict[int, int] = {}
                 for j, v in piv.items():
                     if j == lead:
                         continue
-                    q = Fraction(-v, lc)
-                    sub = rules.get(j)
+                    sub = exact.get(j)
                     if sub is None:
-                        rhs[j] = rhs.get(j, 0) + q
+                        num[j] = num.get(j, 0) - v * den
                     else:
-                        for j2, v2 in sub.items():
-                            rhs[j2] = rhs.get(j2, 0) + q * v2
-                rules[lead] = {j: v for j, v in rhs.items() if v}
+                        f = -v * (den // sub[1])
+                        for j2, v2 in sub[0].items():
+                            num[j2] = num.get(j2, 0) + f * v2
+                num = {j: v for j, v in num.items() if v}
+                den *= piv[lead]
+                g = den
+                for v in num.values():
+                    g = gcd(g, v)
+                if g != 1:
+                    num = {j: v // g for j, v in num.items()}
+                    den //= g
+                exact[lead] = (num, den)
+                rules[lead] = {j: Fraction(v, den) for j, v in num.items()}
             self._rules = rules
         return self._rules
 

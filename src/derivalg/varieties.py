@@ -15,12 +15,20 @@ contexts filled with substitution instances:
   after genuine words of equal length, and filling it re-canonicalizes
   along the path.
 
-Each level is row-reduced exactly with pivots on the *smallest* words, so
+Every such row is multihomogeneous: a context keeps its leaf content and
+an instance of a multilinear identity has the summed content of its
+arguments.  So each level splits into independent blocks, one per
+generator content, and the rows of one block are generated directly by
+pairing every context with the instances of the complementary content.
+
+Each block is row-reduced exactly with pivots on the *smallest* words, so
 normal forms are spanned by the later (larger) words of each degree and
-rewrite signs match hand computation.  A :class:`QuotientSpace` caches the
-levels up to its truncation degree and provides normal forms, bases,
-dimensions, left-multiplication operator matrices and a bounded Engel
-probe.
+rewrite signs match hand computation.  A :class:`QuotientSpace` keeps the
+levels up to its truncation degree and builds a block only when it is
+first needed: ``reduce`` builds the blocks its argument touches, ``basis``
+and ``dimension`` every block of their level.  It provides normal forms,
+bases, dimensions, left-multiplication operator matrices and a bounded
+Engel probe.
 """
 
 from __future__ import annotations
@@ -52,6 +60,12 @@ from .freealg import (
 from .rowreduce import RowReducer
 
 
+def _content(w: Word, n: int) -> tuple[int, ...]:
+    """Generator content of a word: the multiplicities of ``x1..xn``."""
+    degs = generator_degrees(w)
+    return tuple(degs.get(i, 0) for i in range(1, n + 1))
+
+
 class Identity:
     """A multihomogeneous polynomial identity over auxiliary variables.
 
@@ -67,8 +81,7 @@ class Identity:
         nvars = element.sig.num_generators
         counts: tuple[int, ...] | None = None
         for w, _ in element.terms:
-            degs = generator_degrees(w)
-            tup = tuple(degs.get(i, 0) for i in range(1, nvars + 1))
+            tup = _content(w, nvars)
             if counts is None:
                 counts = tup
             elif counts != tup:
@@ -210,25 +223,54 @@ def _word_subst(sig: Signature, w: Word, images: dict[int, Word]) -> Word:
     return bracket_words(sig, [_word_subst(sig, c, images) for c in w.children])
 
 
+def _with_content(pools, budget):
+    """The word tuples of ``itertools.product(*pools)`` whose contents
+    add up to ``budget``, in the same order; ``pools`` hold
+    ``(word, content)`` pairs."""
+    if not pools:
+        if not any(budget):
+            yield ()
+        return
+    for w, c in pools[0]:
+        left = tuple(b - x for b, x in zip(budget, c))
+        if min(left) >= 0:
+            for rest in _with_content(pools[1:], left):
+                yield (w,) + rest
+
+
 _INSTANCE_CACHE: dict = {}
 
 
-def _instances(sig: Signature, ident: Identity, total: int) -> list[dict[Word, Fraction]]:
+def _instances(
+    sig: Signature, ident: Identity, total: int, content: tuple[int, ...] | None = None
+) -> list[dict[Word, Fraction]]:
     """Distinct substitution instances of a multilinear identity whose
-    word arguments have lengths summing to ``total``."""
-    key = (sig, ident, total)
+    word arguments have lengths summing to ``total`` (and, when given,
+    generator contents summing to ``content``)."""
+    key = (sig, ident, total, content)
     got = _INSTANCE_CACHE.get(key)
     if got is not None:
         return got
     variables = ident.variables()
     k = len(variables)
+    if content is not None:
+        # words of each length with their contents, for _with_content
+        n = sig.num_generators
+        tagged = {
+            l: [(w, _content(w, n)) for w in enumerate_reduced(sig, l)]
+            for l in range(1, total - k + 2)
+        }
     out: list[dict[Word, Fraction]] = []
     seen: set[frozenset] = set()
     for lengths in _compositions(total, k):
         pools = [enumerate_reduced(sig, l) for l in lengths]
         if any(not p for p in pools):
             continue
-        for combo in itertools.product(*pools):
+        if content is None:
+            combos = itertools.product(*pools)
+        else:
+            combos = _with_content([tagged[l] for l in lengths], content)
+        for combo in combos:
             images = dict(zip(variables, combo))
             inst: dict[Word, Fraction] = {}
             for w, c in ident.element.terms:
@@ -306,13 +348,37 @@ def _multilinearized(presentation: VarietyPresentation) -> tuple[Identity, ...]:
     return tuple(multilinearize(i) for i in presentation.identities)
 
 
+def _filled_pairs(sig, ident, degree, total, content):
+    """``(context, instances)`` pairs that fill to degree ``degree``; with
+    a ``content``, each context meets the instances of the complementary
+    content, so only rows of that content arise."""
+    for ctx in one_hole_contexts(sig, degree, total):
+        rest = None
+        if content is not None:
+            rest = tuple(a - b for a, b in zip(content, _content(ctx, len(content))))
+            if min(rest) < 0:
+                continue
+        instances = _instances(sig, ident, total, rest)
+        if instances:
+            yield ctx, instances
+
+
 _ROWS_CACHE: dict = {}
 
 
-def relation_rows(presentation: VarietyPresentation, degree: int) -> list[dict[Word, Fraction]]:
+def relation_rows(
+    presentation: VarietyPresentation,
+    degree: int,
+    content: tuple[int, ...] | None = None,
+) -> list[dict[Word, Fraction]]:
     """Spanning rows of the degree-``degree`` component of the T-ideal,
-    as sparse word-keyed vectors (deduplicated, not row-reduced)."""
-    key = (presentation, degree)
+    as sparse word-keyed vectors (deduplicated, not row-reduced).
+
+    Every row is multihomogeneous.  Given a ``content`` (one multiplicity
+    per generator), only the rows of that generator content are
+    generated: the same rows, in the same order, as filtering all rows.
+    """
+    key = (presentation, degree, content)
     got = _ROWS_CACHE.get(key)
     if got is not None:
         return got
@@ -322,11 +388,7 @@ def relation_rows(presentation: VarietyPresentation, degree: int) -> list[dict[W
     for ident in _multilinearized(presentation):
         k = len(ident.variables())
         for total in range(k, degree + 1):
-            instances = _instances(sig, ident, total)
-            if not instances:
-                continue
-            contexts = one_hole_contexts(sig, degree, total)
-            for ctx in contexts:
+            for ctx, instances in _filled_pairs(sig, ident, degree, total, content):
                 for inst in instances:
                     row: dict[Word, Fraction] = {}
                     for w, c in inst.items():
@@ -352,13 +414,33 @@ def relation_space(presentation: VarietyPresentation, degree: int) -> list[Eleme
 
 
 class _Level:
-    __slots__ = ("words", "index", "reducer", "basis")
+    """One degree of a quotient: its words, their columns and generator
+    contents, and one row reducer per content block, built on first use.
 
-    def __init__(self, words, index, reducer, basis):
-        self.words = words
-        self.index = index
-        self.reducer = reducer
-        self.basis = basis
+    Every relation row is multihomogeneous, so the blocks are independent
+    and the level's reduced echelon form is the union of theirs.
+    """
+
+    __slots__ = ("presentation", "degree", "words", "index", "contents", "blocks", "basis")
+
+    def __init__(self, presentation: VarietyPresentation, degree: int):
+        sig = presentation.sig
+        self.presentation = presentation
+        self.degree = degree
+        self.words = enumerate_reduced(sig, degree)
+        self.index = {w: j for j, w in enumerate(self.words)}
+        self.contents = tuple(_content(w, sig.num_generators) for w in self.words)
+        self.blocks: dict[tuple[int, ...], RowReducer] = {}
+        self.basis: tuple[Word, ...] | None = None
+
+    def block(self, content: tuple[int, ...]) -> RowReducer:
+        reducer = self.blocks.get(content)
+        if reducer is None:
+            reducer = self.blocks[content] = RowReducer()
+            index = self.index
+            for row in relation_rows(self.presentation, self.degree, content):
+                reducer.add({index[w]: c for w, c in row.items()})
+        return reducer
 
 
 class QuotientSpace:
@@ -395,30 +477,29 @@ class QuotientSpace:
                 raise TruncationError(
                     f"degree {degree} beyond truncation {self.truncation}"
                 )
-            words = enumerate_reduced(self.sig, degree)
-            index = {w: j for j, w in enumerate(words)}
-            reducer = RowReducer()
-            for row in relation_rows(self.presentation, degree):
-                reducer.add({index[w]: c for w, c in row.items()})
-            pivots = set(reducer.pivot_columns())
-            basis = tuple(w for j, w in enumerate(words) if j not in pivots)
-            lv = self._levels[degree] = _Level(words, index, reducer, basis)
+            lv = self._levels[degree] = _Level(self.presentation, degree)
         return lv
 
     def dimension(self, degree: int) -> int:
-        if degree == 0:
-            return 1 if self.sig.unital else 0
-        return len(self._level(degree).basis)
+        return len(self.basis(degree))
 
     def basis(self, degree: int) -> tuple[Word, ...]:
-        """Normal-form words at one degree (non-pivot words, increasing)."""
+        """Normal-form words at one degree (non-pivot words, increasing);
+        builds every content block of the level."""
         if degree == 0:
             return (UNIT,) if self.sig.unital else ()
-        return self._level(degree).basis
+        lv = self._level(degree)
+        if lv.basis is None:
+            pivots: set[int] = set()
+            for content in dict.fromkeys(lv.contents):
+                pivots.update(lv.block(content).pivot_columns())
+            lv.basis = tuple(w for j, w in enumerate(lv.words) if j not in pivots)
+        return lv.basis
 
     def reduce(self, a: Element) -> Element:
         """Normal form of an element; raises
-        :class:`~derivalg.freealg.TruncationError` beyond the window."""
+        :class:`~derivalg.freealg.TruncationError` beyond the window.
+        Only the content blocks that the element touches are built."""
         if a.sig != self.sig:
             raise AlgebraError("element signature mismatch")
         acc: dict[Word, Fraction] = {}
@@ -429,10 +510,14 @@ class QuotientSpace:
                     acc[w] = acc.get(w, 0) + c
                 continue
             lv = self._level(degree)
-            row = {lv.index[w]: c for w, c in part.terms}
-            for j, v in lv.reducer.reduce(row).items():
-                w = lv.words[j]
-                acc[w] = acc.get(w, 0) + v
+            rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+            for w, c in part.terms:
+                j = lv.index[w]
+                rows.setdefault(lv.contents[j], {})[j] = c
+            for content, row in rows.items():
+                for j, v in lv.block(content).reduce(row).items():
+                    w = lv.words[j]
+                    acc[w] = acc.get(w, 0) + v
         return Element(self.sig, acc)
 
     def doubled(self) -> "QuotientSpace":

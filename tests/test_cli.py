@@ -1,10 +1,12 @@
 import io
 import json
+from functools import lru_cache
 from importlib.resources import files
 
 import jsonschema
 import pytest
 
+from derivalg import varieties
 from derivalg.cli import main
 
 
@@ -119,6 +121,36 @@ def test_jacobian_with_probe(capsys):
     doc = json.loads(out)
     assert doc["result"]["nilpotency"] == "unknown"
     jsonschema.validate(doc, schema())
+
+
+def test_jacobian_probe_builds_only_partner_linear_blocks(capsys, monkeypatch):
+    """Counted work, not wall time: the default binary probe reduces only
+    elements linear in the partner y1 of the doubled algebra, so it asks
+    for the relation rows of partner degree 1 alone; at degree 8 it uses
+    the 111 rows of the (7, 1) block, not the 1940 rows of the level."""
+    requests = []
+    relation_rows = varieties.relation_rows
+
+    def counted_rows(presentation, degree, content=None):
+        rows = relation_rows(presentation, degree, content)
+        requests.append((presentation.sig.num_generators, degree, content, len(rows)))
+        return rows
+
+    monkeypatch.setattr(varieties, "relation_rows", counted_rows)
+    # a cache of its own, so that no block of the doubled quotient is built yet
+    monkeypatch.setattr(
+        varieties, "quotient_space", lru_cache(maxsize=None)(varieties.QuotientSpace)
+    )
+    code, out, _ = run(
+        capsys,
+        "jacobian", "D[(x1 x1)]", "--probe", "8",
+        "--identity", "(x1 (x1 (x1 x1)))",
+    )
+    assert code == 0
+    assert out == "[[2*U(x1)]]\nnilpotency: unknown\n"
+    assert [degree for _, degree, _, _ in requests] == list(range(1, 9))
+    assert all(n == 2 and content == (degree - 1, 1) for n, degree, content, _ in requests)
+    assert [rows for _, degree, _, rows in requests if degree == 8] == [111]
 
 
 def test_jacobian_probe_ternary(capsys):

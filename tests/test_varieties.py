@@ -11,6 +11,7 @@ from derivalg.freealg import (
     bracket,
     enumerate_reduced,
     generator,
+    generator_degrees,
     generators,
     node,
     substitute,
@@ -30,9 +31,11 @@ from derivalg.varieties import (
     quotient_basis,
     quotient_space,
     reduce,
+    relation_rows,
     relation_space,
     variety,
 )
+from derivalg.rowreduce import RowReducer
 
 from conftest import random_element
 
@@ -301,3 +304,81 @@ def test_doubled_context_same_identities():
     (x1, x2) = generators(dq.sig)
     assert dq.reduce(x1 * (x1 * (x1 * x1))).is_zero
     assert dq.reduce(x2 * (x2 * (x2 * x2))).is_zero
+
+
+def left_symmetric_two_generators():
+    """Left-symmetric algebras on two generators (non-symmetric bracket)."""
+    z1, z2, z3 = generators(Signature(2, False, False, 3))
+    law = (z1 * z2) * z3 - z1 * (z2 * z3) - (z2 * z1) * z3 + z2 * (z1 * z3)
+    return variety(Signature(2, False, False, 2), law)
+
+
+def unital_binary_nilpotent():
+    x = _x()
+    return variety(Signature(2, True, True, 1), x * (x * (x * x)))
+
+
+# name -> (presentation, truncation)
+BLOCK_CASES = {
+    "binary": lambda: (binary_nilpotent(), 7),
+    "binary_doubled": lambda: (
+        quotient_space(binary_nilpotent(), 7).doubled().presentation,
+        7,
+    ),
+    "ternary": lambda: (ternary_nilpotent(), 7),
+    "left_symmetric": lambda: (left_symmetric_two_generators(), 5),
+    "unital": lambda: (unital_binary_nilpotent(), 6),
+}
+
+
+def full_level(presentation, degree):
+    """Reference: one reducer fed every relation row of the level."""
+    words = enumerate_reduced(presentation.sig, degree)
+    index = {w: j for j, w in enumerate(words)}
+    reducer = RowReducer()
+    for row in relation_rows(presentation, degree):
+        reducer.add({index[w]: c for w, c in row.items()})
+    return words, index, reducer
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_levels_match_full_level_reference(case, rng):
+    presentation, truncation = BLOCK_CASES[case]()
+    sig = presentation.sig
+    levels = {d: full_level(presentation, d) for d in range(1, truncation + 1)}
+
+    # reduce first, on a fresh space, so it builds only the blocks it touches
+    space = QuotientSpace(presentation, truncation)
+    for _ in range(20):
+        a = random_element(sig, rng, max_length=truncation, terms=4)
+        want = {}
+        for d, part in a.homogeneous_parts().items():
+            words, index, reducer = levels[d]
+            row = {index[w]: c for w, c in part.terms}
+            for j, v in reducer.reduce(row).items():
+                want[words[j]] = v
+        assert space.reduce(a) == Element(sig, want)
+
+    for d, (words, _, reducer) in levels.items():
+        pivots = set(reducer.pivot_columns())
+        basis = tuple(w for j, w in enumerate(words) if j not in pivots)
+        assert space.basis(d) == basis
+        assert space.dimension(d) == len(basis)
+        assert QuotientSpace(presentation, truncation).basis(d) == basis
+
+
+def test_relation_rows_of_one_content_filter_all_rows():
+    presentation = quotient_space(binary_nilpotent(), 7).doubled().presentation
+
+    def content_of(w):
+        degs = generator_degrees(w)
+        return degs.get(1, 0), degs.get(2, 0)
+
+    for degree in (4, 6):
+        rows = relation_rows(presentation, degree)
+        contents = [{content_of(w) for w in row} for row in rows]
+        # every row is multihomogeneous
+        assert all(len(c) == 1 for c in contents)
+        for content in {c for (c,) in contents}:
+            want = [row for row, (c,) in zip(rows, contents) if c == content]
+            assert relation_rows(presentation, degree, content) == want
