@@ -20,7 +20,6 @@ from .freealg import (
     UNIT,
     bracket,
     bracket_words,
-    compare_words,
     enumerate_reduced,
     generator,
     generators,
@@ -73,7 +72,6 @@ from .structconst import (
     check_identity,
     derivation_of_power,
     named_identity,
-    product,
 )
 from .genpos import Certificate, SpanReport, certificate, rho, seed_derivation, span_check
 from .sexpr import (

@@ -24,13 +24,14 @@ from .envfox import jacobian, mat_is_nilpotent
 from .freealg import UNKNOWN, AlgebraError, Element, Signature
 from .genpos import certificate, span_check
 from .sexpr import (
+    _int,
     parse_derivation,
     parse_element,
     parse_index_range,
     parse_indexed,
     parse_word,
 )
-from .structconst import _NAMED, builtin, check_identity, named_identity, product
+from .structconst import _NAMED, builtin, check_identity, named_identity
 from .varieties import (
     Identity,
     default_truncation,
@@ -137,7 +138,7 @@ def _parse_identity(
     """Parse an identity payload (read once) over as many variables as its
     highest generator index."""
     text = _payload(text)
-    found = [int(m) for m in re.findall(r"x([1-9]\d*)", text)]
+    found = [_int(m.group(1), m.start(1)) for m in re.finditer(r"x([1-9]\d*)", text)]
     sig = Signature(arity, symmetric, unital, max(found, default=1))
     return parse_element(text, sig)
 
@@ -310,7 +311,7 @@ def _run_structconst(args) -> int:
     alg = builtin(args.builtin)
     a = parse_indexed(_payload(args.left), alg)
     b = parse_indexed(_payload(args.right), alg)
-    out = product(alg, a, b)
+    out = a * b
     return _emit(args, _signature(args), str(out), str(out))
 
 

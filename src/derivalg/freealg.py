@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -80,10 +81,13 @@ class Word:
     """Immutable tree word.
 
     Instances are interned: build them through :func:`generator`,
-    :data:`UNIT` and :func:`node`, never directly.  Raw (non-canonical)
-    trees are accepted only by :func:`normalize`; every other operation
-    expects canonical input.  ``key`` is a total-order sort key that also
-    encodes the full tree, so key equality is structural equality.
+    :data:`UNIT`, :func:`node` and :func:`hole`, never directly.
+    ``node`` keeps one word per child tuple for the life of the process;
+    ``generator`` and ``hole`` are ``functools.cache`` memos.  Raw
+    (non-canonical) trees are accepted only by :func:`normalize`; every
+    other operation expects canonical input.  ``key`` is a total-order
+    sort key that also encodes the full tree, so key equality is
+    structural equality, and words stay equal across a ``cache_clear()``.
     """
 
     __slots__ = ("gen", "children", "length", "key", "_hash")
@@ -150,19 +154,15 @@ class Word:
 
 UNIT = Word(0, (), 0, (0, 0))
 
-_GEN_CACHE: dict[int, Word] = {}
 _NODE_CACHE: dict[tuple, Word] = {}
-_HOLE_CACHE: dict[int, Word] = {}
 
 
+@cache
 def generator(i: int) -> Word:
     """The generator leaf ``x_i`` (indices are 1-based)."""
-    w = _GEN_CACHE.get(i)
-    if w is None:
-        if i < 1:
-            raise AlgebraError("generator indices are 1-based")
-        w = _GEN_CACHE[i] = Word(i, (), 1, (1, 0, i))
-    return w
+    if i < 1:
+        raise AlgebraError("generator indices are 1-based")
+    return Word(i, (), 1, (1, 0, i))
 
 
 def node(children: Iterable[Word]) -> Word:
@@ -176,29 +176,16 @@ def node(children: Iterable[Word]) -> Word:
     return w
 
 
+@cache
 def hole(length: int) -> Word:
     """A placeholder leaf of prescribed length.
 
     Used when enumerating one-hole contexts; it sorts strictly after every
     genuine word of the same length, and :func:`normalize` rejects it.
     """
-    w = _HOLE_CACHE.get(length)
-    if w is None:
-        if length < 1:
-            raise AlgebraError("hole length must be positive")
-        w = _HOLE_CACHE[length] = Word(_HOLE, (), length, (length, 2))
-    return w
-
-
-def compare_words(u: Word, v: Word) -> int:
-    """Total order on canonical words; returns -1, 0 or 1.
-
-    Shorter words come first, generators compare by index, nodes compare
-    lexicographically by their (already sorted) children.
-    """
-    if u.key == v.key:
-        return 0
-    return -1 if u.key < v.key else 1
+    if length < 1:
+        raise AlgebraError("hole length must be positive")
+    return Word(_HOLE, (), length, (length, 2))
 
 
 def bracket_words(sig: Signature, children: Sequence[Word]) -> Word:
@@ -465,20 +452,14 @@ def bracket(args: Sequence[Element]) -> Element:
     return Element(sig, acc)
 
 
-_ENUM_CACHE: dict[tuple[Signature, int], tuple[Word, ...]] = {}
-
-
+@cache
 def enumerate_reduced(sig: Signature, length: int) -> tuple[Word, ...]:
     """All canonical words of the given length, in increasing word order.
 
     Lengths that no word of the signature can attain (for instance even
     lengths when m = 3, or 0 in the non-unital case) give the empty tuple.
     """
-    key = (sig, length)
-    cached = _ENUM_CACHE.get(key)
-    if cached is None:
-        cached = _ENUM_CACHE[key] = tuple(sorted(_enumerate(sig, length)))
-    return cached
+    return tuple(sorted(_enumerate(sig, length)))
 
 
 def _enumerate(sig: Signature, length: int) -> list[Word]:
@@ -488,38 +469,22 @@ def _enumerate(sig: Signature, length: int) -> list[Word]:
         return [UNIT] if sig.unital else []
     if length == 1:
         return [generator(i) for i in range(1, sig.num_generators + 1)]
-    m = sig.arity
-    out: list[Word] = []
-    if sig.symmetric:
-        # children in non-increasing order, so each tuple is canonical
-        def rec(bound: Word | None, slots: int, budget: int):
-            if slots == 0:
-                if budget == 0:
-                    yield ()
-                return
-            for l in range(1, budget - slots + 2):
-                for w in enumerate_reduced(sig, l):
-                    if bound is not None and bound < w:
-                        break
-                    for rest in rec(w, slots - 1, budget - l):
-                        yield (w,) + rest
+    symmetric = sig.symmetric
 
-        for tup in rec(None, m, length):
-            out.append(node(tup))
-    else:
-        def rec(slots: int, budget: int):
-            if slots == 0:
-                if budget == 0:
-                    yield ()
-                return
-            for l in range(1, budget - slots + 2):
-                for w in enumerate_reduced(sig, l):
-                    for rest in rec(slots - 1, budget - l):
-                        yield (w,) + rest
+    # symmetric children come in non-increasing order, so each tuple is canonical
+    def rec(bound: Word | None, slots: int, budget: int):
+        if slots == 0:
+            if budget == 0:
+                yield ()
+            return
+        for l in range(1, budget - slots + 2):
+            for w in enumerate_reduced(sig, l):
+                if symmetric and bound is not None and bound < w:
+                    break
+                for rest in rec(w, slots - 1, budget - l):
+                    yield (w,) + rest
 
-        for tup in rec(m, length):
-            out.append(node(tup))
-    return out
+    return [node(tup) for tup in rec(None, sig.arity, length)]
 
 
 def substitute(template: Element, images: Mapping[int, Element]) -> Element:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Iterable
 
 from .deriv import Derivation, apply, euler_derivation, grading_decompose, lsym_mul
@@ -137,7 +137,7 @@ def _combine(scale: Fraction, parts: Iterable[tuple[Fraction, object]]):
     return tuple((c, expr) for expr, c in acc.items())
 
 
-@lru_cache(maxsize=None)
+@cache
 def certificate(sig: Signature, w: Word) -> Certificate:
     """Express ``w dx`` through the seed, following the rho-induction."""
     _validate_signature(sig)

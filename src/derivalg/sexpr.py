@@ -39,6 +39,15 @@ class ParseError(AlgebraError):
         self.pos = pos
 
 
+def _int(text: str, pos: int) -> int:
+    """``int(text)``; a numeral longer than the interpreter converts
+    raises a :class:`ParseError` at ``pos`` instead of ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("numeral too long", pos) from None
+
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<lparen>\()"
@@ -121,7 +130,7 @@ def _word(stream: _Stream) -> Word:
     if tok.kind == "ident":
         m = _GEN.match(tok.text)
         if m:
-            return generator(int(m.group(1)))
+            return generator(_int(m.group(1), tok.pos + 1))
         raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
     if tok.kind == "lparen":
         children = []
@@ -149,14 +158,15 @@ def parse_word(text: str, sig: Signature) -> Word:
 
 def _coefficient(stream: _Stream) -> Fraction:
     num = stream.expect("number")
-    value = Fraction(int(num.text))
+    value = Fraction(_int(num.text, num.pos))
     nxt = stream.peek()
     if nxt is not None and nxt.kind == "slash":
         stream.advance()
         den = stream.expect("number")
-        if int(den.text) == 0:
+        d = _int(den.text, den.pos)
+        if d == 0:
             raise ParseError("zero denominator", den.pos)
-        value /= int(den.text)
+        value /= d
     return value
 
 
@@ -249,7 +259,7 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
         m = _DER.match(d.text)
         if not m:
             raise ParseError(f"expected d<i>, found {d.text!r}", d.pos)
-        i = int(m.group(1))
+        i = _int(m.group(1), d.pos + 1)
         if i > sig.num_generators:
             raise ParseError(f"no coordinate d{i}", d.pos)
         pairs.setdefault(i, []).append((w, sign * coeff))
@@ -325,7 +335,11 @@ def parse_indexed(text: str, alg: IndexedAlgebra) -> IndexedElement:
             raise ParseError("expected an indexed term", pos)
         coeff = Fraction(1)
         if m.group("num") is not None:
-            coeff = Fraction(int(m.group("num")), int(m.group("den") or 1))
+            den = m.group("den")
+            coeff = Fraction(
+                _int(m.group("num"), m.start("num")),
+                1 if den is None else _int(den, m.start("den")),
+            )
         if m.group("sym") != alg.symbol:
             raise ParseError(
                 f"expected basis symbol {alg.symbol!r}, found {m.group('sym')!r}",
@@ -333,7 +347,7 @@ def parse_indexed(text: str, alg: IndexedAlgebra) -> IndexedElement:
             )
         if bool(m.group("caret")) != alg.power_style:
             raise ParseError("wrong basis notation for this algebra", m.start("sym"))
-        terms.append((int(m.group("idx")), sign * coeff))
+        terms.append((_int(m.group("idx"), m.start("idx")), sign * coeff))
         pos = m.end()
         first = False
     if first:
@@ -346,7 +360,7 @@ def parse_index_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"\s*(-?\d+)\.\.(-?\d+)\s*", text)
     if m is None:
         raise ParseError("expected a range like -1..12", 0)
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = _int(m.group(1), m.start(1)), _int(m.group(2), m.start(2))
     if lo > hi:
         raise ParseError("empty range", 0)
     return lo, hi

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .freealg import (
@@ -161,7 +161,7 @@ def _binomial_rule(i: int, j: int):
 _MARY = re.compile(r"^witt1_mary\((\d+)\)$")
 
 
-@lru_cache(maxsize=None)
+@cache
 def builtin(name: str) -> IndexedAlgebra:
     """The named algebra: witt1, leibniz_der, dual_leibniz_der,
     dual_leibniz_alg, or witt1_mary(m) with m >= 3."""
@@ -183,13 +183,6 @@ def builtin(name: str) -> IndexedAlgebra:
             raise AlgebraError("witt1_mary needs arity at least 3")
         return IndexedAlgebra(key, "e", _witt_rule, 0, modulus=arity - 1)
     raise AlgebraError(f"unknown indexed algebra {name!r}")
-
-
-def product(alg: IndexedAlgebra, a: IndexedElement, b: IndexedElement) -> IndexedElement:
-    """Bilinear extension of the structure-constant rule."""
-    if a.alg != alg or b.alg != alg:
-        raise AlgebraError("elements of different indexed algebras")
-    return a * b
 
 
 @dataclass(frozen=True)

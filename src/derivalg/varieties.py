@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
 from .freealg import (
@@ -238,19 +238,13 @@ def _with_content(pools, budget):
                 yield (w,) + rest
 
 
-_INSTANCE_CACHE: dict = {}
-
-
+@cache
 def _instances(
     sig: Signature, ident: Identity, total: int, content: tuple[int, ...] | None = None
 ) -> list[dict[Word, Fraction]]:
     """Distinct substitution instances of a multilinear identity whose
     word arguments have lengths summing to ``total`` (and, when given,
     generator contents summing to ``content``)."""
-    key = (sig, ident, total, content)
-    got = _INSTANCE_CACHE.get(key)
-    if got is not None:
-        return got
     variables = ident.variables()
     k = len(variables)
     if content is not None:
@@ -283,20 +277,13 @@ def _instances(
             if fs not in seen:
                 seen.add(fs)
                 out.append(inst)
-    _INSTANCE_CACHE[key] = out
     return out
 
 
-_CONTEXT_CACHE: dict = {}
-
-
+@cache
 def one_hole_contexts(sig: Signature, length: int, hole_length: int) -> tuple[Word, ...]:
     """Canonical trees of the given total length whose leaves are
     generators except for exactly one hole counted with ``hole_length``."""
-    key = (sig, length, hole_length)
-    got = _CONTEXT_CACHE.get(key)
-    if got is not None:
-        return got
     out: list[Word] = []
     if length == hole_length:
         out.append(hole(hole_length))
@@ -330,9 +317,7 @@ def one_hole_contexts(sig: Signature, length: int, hole_length: int) -> tuple[Wo
                             seen.add(w)
                             out.append(w)
     out.sort()
-    result = tuple(out)
-    _CONTEXT_CACHE[key] = result
-    return result
+    return tuple(out)
 
 
 def _fill(sig: Signature, ctx: Word, w: Word) -> Word:
@@ -343,7 +328,7 @@ def _fill(sig: Signature, ctx: Word, w: Word) -> Word:
     return bracket_words(sig, [_fill(sig, c, w) for c in ctx.children])
 
 
-@lru_cache(maxsize=None)
+@cache
 def _multilinearized(presentation: VarietyPresentation) -> tuple[Identity, ...]:
     return tuple(multilinearize(i) for i in presentation.identities)
 
@@ -363,9 +348,6 @@ def _filled_pairs(sig, ident, degree, total, content):
             yield ctx, instances
 
 
-_ROWS_CACHE: dict = {}
-
-
 def relation_rows(
     presentation: VarietyPresentation,
     degree: int,
@@ -378,10 +360,6 @@ def relation_rows(
     per generator), only the rows of that generator content are
     generated: the same rows, in the same order, as filtering all rows.
     """
-    key = (presentation, degree, content)
-    got = _ROWS_CACHE.get(key)
-    if got is not None:
-        return got
     sig = presentation.sig
     out: list[dict[Word, Fraction]] = []
     seen: set[frozenset] = set()
@@ -401,7 +379,6 @@ def relation_rows(
                     if fs not in seen:
                         seen.add(fs)
                         out.append(row)
-    _ROWS_CACHE[key] = out
     return out
 
 
@@ -531,11 +508,15 @@ class QuotientSpace:
         )
 
 
-@lru_cache(maxsize=None)
+@cache
 def quotient_space(
     presentation: VarietyPresentation, truncation: int | None = None
 ) -> QuotientSpace:
-    """Shared, cached quotient context for a presentation."""
+    """Shared quotient context for a presentation.
+
+    A ``functools.cache`` memo: one instance, with every level and block
+    it has built, serves all callers until ``quotient_space.cache_clear()``.
+    """
     return QuotientSpace(presentation, truncation)
 
 

@@ -41,7 +41,6 @@ from derivalg.structconst import (
     check_identity,
     derivation_of_power,
     named_identity,
-    product,
 )
 from derivalg.varieties import (
     default_truncation,
@@ -148,7 +147,7 @@ def test_criterion_2_scaled_power_images():
                     * factorial(t + 1)
                     * derivation_of_power(alg, s, t + 1)
                 )
-                rule = product(der, der.basis(s), der.basis(t))
+                rule = der.basis(s) * der.basis(t)
                 assert rule == (t + 1) * der.basis(s + t)
                 lifted = alg.element(
                     [(i + 1, c * factorial(i + 1)) for i, c in rule.terms]

@@ -221,6 +221,32 @@ def test_parse_error_exits_1(capsys):
     assert "position" in err
 
 
+LONG = "1" * 5000  # beyond the interpreter's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize(
+    "argv, pos",
+    [
+        (["apply", "D[(x1 x1)]", f"{LONG}*x1"], 0),
+        (["apply", "D[(x1 x1)]", f"(x1 x{LONG})"], 5),
+        (["apply", "D[(x1 x1)]", f"1/{LONG}*x1"], 2),
+        (["product", f"x1 d{LONG}", "x1 d1"], 4),
+        (["structconst", "--builtin", "witt1", f"{LONG}*e1", "e2"], 0),
+        (["structconst", "--builtin", "witt1", f"1/{LONG}*e1", "e2"], 2),
+        (["structconst", "--builtin", "witt1", f"e{LONG}", "e2"], 1),
+        (["check-identity", "--builtin", "witt1", "--identity", "novikov",
+          "--range", f"0..{LONG}"], 3),
+        (["reduce", "--identity", f"(x1 x{LONG})", "x1"], 5),
+    ],
+)
+def test_long_numeral_exits_1(capsys, argv, pos):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: numeral too long (at position {pos})\n"
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quotient", "--degree", "5"])  # --identity is required

@@ -11,7 +11,6 @@ from derivalg.freealg import (
     Element,
     Signature,
     bracket,
-    compare_words,
     enumerate_reduced,
     generator,
     generators,
@@ -155,18 +154,18 @@ def test_word_order_shorter_first_then_lexicographic():
     x2 = node([x, x])
     u = node([x2, x2])
     v = node([node([x2, x]), x])
-    assert compare_words(u, v) == -1
-    assert compare_words(v, u) == 1
-    assert compare_words(u, u) == 0
+    assert u < v and not v < u and u != v
+    assert v > u and not u > v
+    assert u == u and not u < u and not u > u
     assert x < x2 < node([x2, x]) < u
 
 
 def test_word_order_is_total_on_samples():
     words = [w for l in range(1, 7) for w in enumerate_reduced(S22, l)]
     for u, v in itertools.product(words[:40], repeat=2):
-        c = compare_words(u, v)
-        assert c == -compare_words(v, u)
-        assert (c == 0) == (u == v)
+        # exactly one of <, ==, > holds, and < mirrors >
+        assert (u < v) + (u == v) + (u > v) == 1
+        assert (u < v) == (v > u)
 
 
 def test_bracket_is_multilinear(rng):

@@ -1,7 +1,12 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import derivalg
+from derivalg.deriv import Derivation
+from derivalg.envfox import jacobian, mat_is_nilpotent
 from derivalg.freealg import (
     UNKNOWN,
     AlgebraError,
@@ -293,6 +298,56 @@ def test_quotient_space_shared_and_hashable():
     assert a is b
     assert a == QuotientSpace(binary_nilpotent())
     assert hash(a) == hash(QuotientSpace(binary_nilpotent()))
+
+
+def _memos():
+    """Every memoized function of the package, by ``module.name``."""
+    out = {}
+    for info in pkgutil.iter_modules(derivalg.__path__):
+        mod = importlib.import_module(f"derivalg.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def test_clearing_every_memo_rebuilds_identical_results():
+    """Every memo is a functools.cache: after ``cache_clear()`` on all of
+    them, fresh objects give the same doubled-quotient basis, normal form
+    and Jacobian probe verdict.  Words built before the clear stay equal
+    to words built after it, because word equality compares keys."""
+
+    def build():
+        space = quotient_space(binary_nilpotent(), 8)
+        doubled = space.doubled()
+        x, y = generators(doubled.sig)
+        nf = doubled.reduce(x * (x * (x * y)) - 2 * (y * x) * (x * x))
+        verdict = mat_is_nilpotent(jacobian(Derivation(S21, [_x() * _x()])), 8, space)
+        return space, doubled.basis(6), nf, verdict
+
+    memos = _memos()
+    assert set(memos) == {
+        "freealg.generator",
+        "freealg.hole",
+        "freealg.enumerate_reduced",
+        "varieties._instances",
+        "varieties.one_hole_contexts",
+        "varieties._multilinearized",
+        "varieties.quotient_space",
+        "structconst.builtin",
+        "genpos.certificate",
+    }
+    space, basis, nf, verdict = build()
+    x1 = generator(1)
+    for memo in memos.values():
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    again, basis2, nf2, verdict2 = build()
+    assert again is not space and generator(1) is not x1
+    assert generator(1) == x1
+    assert basis2 == basis and len(basis) > 0
+    assert nf2 == nf and not nf.is_zero
+    assert verdict2 is verdict is UNKNOWN
 
 
 def test_doubled_context_same_identities():
