@@ -345,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # str() of an int beyond the interpreter's digit limit
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -74,20 +75,22 @@ def doubled_signature(sig: Signature) -> Signature:
 
 
 _NODE = -1
-_HOLE = -2
 
 
 class Word:
     """Immutable tree word.
 
     Instances are interned: build them through :func:`generator`,
-    :data:`UNIT`, :func:`node` and :func:`hole`, never directly.
-    ``node`` keeps one word per child tuple for the life of the process;
-    ``generator`` and ``hole`` are ``functools.cache`` memos.  Raw
-    (non-canonical) trees are accepted only by :func:`normalize`; every
-    other operation expects canonical input.  ``key`` is a total-order
-    sort key that also encodes the full tree, so key equality is
-    structural equality, and words stay equal across a ``cache_clear()``.
+    :data:`UNIT` and :func:`node`, never directly.  ``node`` keeps one
+    word per child tuple for the life of the process; ``generator`` is a
+    ``functools.cache`` memo.  Raw (non-canonical) trees are accepted
+    only by :func:`normalize`; every other operation expects canonical
+    input.  ``key`` is a total-order sort key that also encodes the full
+    tree, so key equality is structural equality, and words stay equal
+    across a ``cache_clear()``.  The generator content of a word (how
+    often each generator occurs) is invariant under canonicalization;
+    :func:`words_of_content` enumerates the canonical words of one
+    content.
     """
 
     __slots__ = ("gen", "children", "length", "key", "_hash")
@@ -110,14 +113,6 @@ class Word:
     @property
     def is_node(self) -> bool:
         return self.gen == _NODE
-
-    @property
-    def is_hole(self) -> bool:
-        return self.gen == _HOLE
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.gen != _NODE
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -144,8 +139,6 @@ class Word:
             return "1"
         if self.is_generator:
             return f"x{self.gen}"
-        if self.is_hole:
-            return f"<hole:{self.length}>"
         return "(" + " ".join(str(c) for c in self.children) + ")"
 
     def __repr__(self) -> str:
@@ -153,6 +146,8 @@ class Word:
 
 
 UNIT = Word(0, (), 0, (0, 0))
+
+_key = attrgetter("key")
 
 _NODE_CACHE: dict[tuple, Word] = {}
 
@@ -174,18 +169,6 @@ def node(children: Iterable[Word]) -> Word:
         key = (length, 1) + tuple(c.key for c in tup)
         w = _NODE_CACHE[tup] = Word(_NODE, tup, length, key)
     return w
-
-
-@cache
-def hole(length: int) -> Word:
-    """A placeholder leaf of prescribed length.
-
-    Used when enumerating one-hole contexts; it sorts strictly after every
-    genuine word of the same length, and :func:`normalize` rejects it.
-    """
-    if length < 1:
-        raise AlgebraError("hole length must be positive")
-    return Word(_HOLE, (), length, (length, 2))
 
 
 def bracket_words(sig: Signature, children: Sequence[Word]) -> Word:
@@ -220,8 +203,6 @@ def normalize(sig: Signature, w: Word) -> Word:
         if not sig.unital:
             raise AlgebraError("unit in a non-unital signature")
         return w
-    if w.is_hole:
-        raise AlgebraError("a hole placeholder is not an algebra word")
     if len(w.children) != sig.arity:
         raise ArityError(
             f"node with {len(w.children)} children in arity {sig.arity}"
@@ -231,19 +212,10 @@ def normalize(sig: Signature, w: Word) -> Word:
 
 def is_canonical(sig: Signature, w: Word) -> bool:
     """Whether ``w`` is already in the canonical form of ``sig``."""
-    if w.is_generator:
-        return w.gen <= sig.num_generators
-    if w.is_unit:
-        return sig.unital
-    if w.is_hole or len(w.children) != sig.arity:
+    try:
+        return normalize(sig, w) == w
+    except AlgebraError:
         return False
-    if any(c.is_unit for c in w.children):
-        return False
-    if sig.symmetric:
-        kids = w.children
-        if any(kids[i] < kids[i + 1] for i in range(len(kids) - 1)):
-            return False
-    return all(is_canonical(sig, c) for c in w.children)
 
 
 def format_linear(items: Iterable[tuple[str, Fraction]]) -> str:
@@ -452,39 +424,66 @@ def bracket(args: Sequence[Element]) -> Element:
     return Element(sig, acc)
 
 
+def contents(total: int, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The generator contents ``c`` with ``0 <= c[i] <= bound[i]`` and
+    ``sum(c) == total``, in lexicographic order."""
+    if not bound:
+        if total == 0:
+            yield ()
+        return
+    for first in range(max(0, total - sum(bound[1:])), min(total, bound[0]) + 1):
+        for rest in contents(total - first, bound[1:]):
+            yield (first,) + rest
+
+
+@cache
+def words_of_content(sig: Signature, content: tuple[int, ...]) -> tuple[Word, ...]:
+    """The canonical words in which generator ``x_i`` occurs
+    ``content[i - 1]`` times, in increasing word order.
+
+    The one word enumerator of the package: a bracket splits the content
+    among its children, none of them empty, since the unit is absorbed.
+    """
+    if len(content) != sig.num_generators or min(content) < 0:
+        raise AlgebraError(f"content {content} does not fit {sig}")
+    total = sum(content)
+    if total == 0:
+        return (UNIT,) if sig.unital else ()
+    if total == 1:
+        return (generator(content.index(1) + 1),)
+    symmetric = sig.symmetric
+
+    # symmetric children come in non-increasing order, so each tuple is canonical
+    def rec(bound: Word | None, slots: int, budget: tuple[int, ...]):
+        if slots == 1:
+            for w in words_of_content(sig, budget):
+                if symmetric and bound is not None and bound < w:
+                    return
+                yield (w,)
+            return
+        for l in range(1, sum(budget) - slots + 2):
+            for c in contents(l, budget):
+                rest = tuple(b - x for b, x in zip(budget, c))
+                for w in words_of_content(sig, c):
+                    if symmetric and bound is not None and bound < w:
+                        break
+                    for tail in rec(w, slots - 1, rest):
+                        yield (w,) + tail
+
+    return tuple(sorted((node(t) for t in rec(None, sig.arity, content)), key=_key))
+
+
 @cache
 def enumerate_reduced(sig: Signature, length: int) -> tuple[Word, ...]:
-    """All canonical words of the given length, in increasing word order.
+    """All canonical words of the given length, in increasing word order:
+    the merged :func:`words_of_content` of every content of that length.
 
     Lengths that no word of the signature can attain (for instance even
     lengths when m = 3, or 0 in the non-unital case) give the empty tuple.
     """
-    return tuple(sorted(_enumerate(sig, length)))
-
-
-def _enumerate(sig: Signature, length: int) -> list[Word]:
-    if length < 0:
-        return []
-    if length == 0:
-        return [UNIT] if sig.unital else []
-    if length == 1:
-        return [generator(i) for i in range(1, sig.num_generators + 1)]
-    symmetric = sig.symmetric
-
-    # symmetric children come in non-increasing order, so each tuple is canonical
-    def rec(bound: Word | None, slots: int, budget: int):
-        if slots == 0:
-            if budget == 0:
-                yield ()
-            return
-        for l in range(1, budget - slots + 2):
-            for w in enumerate_reduced(sig, l):
-                if symmetric and bound is not None and bound < w:
-                    break
-                for rest in rec(w, slots - 1, budget - l):
-                    yield (w,) + rest
-
-    return [node(tup) for tup in rec(None, sig.arity, length)]
+    blocks = contents(length, (length,) * sig.num_generators)
+    words = itertools.chain.from_iterable(words_of_content(sig, c) for c in blocks)
+    return tuple(sorted(words, key=_key))
 
 
 def substitute(template: Element, images: Mapping[int, Element]) -> Element:

@@ -51,10 +51,6 @@ class RowReducer:
         self._rules = None
         return True
 
-    def contains(self, row: dict) -> bool:
-        """Whether the row lies in the current row space."""
-        return not self._eliminate(row)
-
     def _eliminate(self, row: dict) -> dict[int, int]:
         frac = {j: Fraction(v) for j, v in row.items() if v}
         if not frac:

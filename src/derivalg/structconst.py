@@ -13,6 +13,7 @@ failing basis tuple in lexicographic order, never an unbounded claim.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -223,23 +224,12 @@ def check_identity(alg: IndexedAlgebra, ident: Identity, lo: int, hi: int):
     :class:`Counterexample`."""
     if not ident.is_multilinear:
         raise AlgebraError("basis checks need a multilinear identity")
-    k = len(ident.multidegree)
     window = alg.indices(lo, hi)
-
-    def walk(prefix: tuple[int, ...]):
-        if len(prefix) == k:
-            images = [alg.basis(i) for i in prefix]
-            defect = evaluate(alg, ident.element, images)
-            if not defect.is_zero:
-                return Counterexample(prefix, defect)
-            return None
-        for i in window:
-            found = walk(prefix + (i,))
-            if found is not None:
-                return found
-        return None
-
-    return walk(())
+    for spot in itertools.product(window, repeat=len(ident.multidegree)):
+        defect = evaluate(alg, ident.element, [alg.basis(i) for i in spot])
+        if not defect.is_zero:
+            return Counterexample(spot, defect)
+    return None
 
 
 def _triple():

@@ -10,25 +10,27 @@ contexts filled with substitution instances:
 
 * an *instance* substitutes reduced words (of total length ``D``) for the
   variables of a multilinear identity;
-* a *context* is a canonical tree of total length ``d`` whose leaves are
-  generators except for exactly one hole of length ``D``; the hole sorts
-  after genuine words of equal length, and filling it re-canonicalizes
-  along the path.
+* a *context* is a canonical word over the signature plus a marker
+  generator ``x_{n+1}`` that occurs exactly once, with ``d - D`` genuine
+  generator leaves; filling replaces the marker by a word and
+  re-canonicalizes the brackets above it.
 
-Every such row is multihomogeneous: a context keeps its leaf content and
-an instance of a multilinear identity has the summed content of its
-arguments.  So each level splits into independent blocks, one per
+Every such row is multihomogeneous: a context keeps its generator content
+and an instance of a multilinear identity has the summed content of its
+arguments.  So each degree splits into independent blocks, one per
 generator content, and the rows of one block are generated directly by
-pairing every context with the instances of the complementary content.
+pairing the contexts of every smaller content with the instances of the
+complementary content.  Words, contexts and blocks all come from one
+enumerator, :func:`~derivalg.freealg.words_of_content`.
 
 Each block is row-reduced exactly with pivots on the *smallest* words, so
 normal forms are spanned by the later (larger) words of each degree and
 rewrite signs match hand computation.  A :class:`QuotientSpace` keeps the
-levels up to its truncation degree and builds a block only when it is
-first needed: ``reduce`` builds the blocks its argument touches, ``basis``
-and ``dimension`` every block of their level.  It provides normal forms,
-bases, dimensions, left-multiplication operator matrices and a bounded
-Engel probe.
+content blocks up to its truncation degree and builds a block only when
+it is first needed: ``reduce`` builds the blocks its argument touches,
+``basis`` and ``dimension`` every block of their degree.  It provides
+normal forms, bases, dimensions, left-multiplication operator matrices
+and a bounded Engel probe.
 """
 
 from __future__ import annotations
@@ -49,13 +51,13 @@ from .freealg import (
     Word,
     bracket,
     bracket_words,
+    contents,
     doubled_signature,
     enumerate_reduced,
     generator,
     generator_degrees,
-    hole,
-    node,
     substitute,
+    words_of_content,
 )
 from .rowreduce import RowReducer
 
@@ -216,8 +218,10 @@ def _compositions(total: int, parts: int):
 
 
 def _word_subst(sig: Signature, w: Word, images: dict[int, Word]) -> Word:
+    """Replace the generator leaves of ``w`` that ``images`` names and
+    re-canonicalize the brackets above them."""
     if w.is_generator:
-        return images[w.gen]
+        return images.get(w.gen, w)
     if w.is_unit:
         return UNIT
     return bracket_words(sig, [_word_subst(sig, c, images) for c in w.children])
@@ -248,10 +252,12 @@ def _instances(
     variables = ident.variables()
     k = len(variables)
     if content is not None:
-        # words of each length with their contents, for _with_content
-        n = sig.num_generators
+        # words of each length inside the content, in word order
         tagged = {
-            l: [(w, _content(w, n)) for w in enumerate_reduced(sig, l)]
+            l: sorted(
+                ((w, c) for c in contents(l, content) for w in words_of_content(sig, c)),
+                key=lambda t: t[0].key,
+            )
             for l in range(1, total - k + 2)
         }
     out: list[dict[Word, Fraction]] = []
@@ -280,52 +286,11 @@ def _instances(
     return out
 
 
-@cache
-def one_hole_contexts(sig: Signature, length: int, hole_length: int) -> tuple[Word, ...]:
-    """Canonical trees of the given total length whose leaves are
-    generators except for exactly one hole counted with ``hole_length``."""
-    out: list[Word] = []
-    if length == hole_length:
-        out.append(hole(hole_length))
-    if length > hole_length:
-        seen: set[Word] = set()
-        m = sig.arity
-        for comp in _compositions(length, m):
-            for s in range(m):
-                subs = one_hole_contexts(sig, comp[s], hole_length)
-                if not subs:
-                    continue
-                pools = []
-                feasible = True
-                for t in range(m):
-                    if t == s:
-                        continue
-                    ws = enumerate_reduced(sig, comp[t])
-                    if not ws:
-                        feasible = False
-                        break
-                    pools.append(ws)
-                if not feasible:
-                    continue
-                for ctx_child in subs:
-                    for words in itertools.product(*pools):
-                        kids = list(words[:s]) + [ctx_child] + list(words[s:])
-                        if sig.symmetric:
-                            kids.sort(reverse=True)
-                        w = node(kids)
-                        if w not in seen:
-                            seen.add(w)
-                            out.append(w)
-    out.sort()
-    return tuple(out)
-
-
-def _fill(sig: Signature, ctx: Word, w: Word) -> Word:
-    if ctx.is_hole:
-        return w
-    if ctx.is_leaf:
-        return ctx
-    return bracket_words(sig, [_fill(sig, c, w) for c in ctx.children])
+def one_hole_contexts(sig: Signature, content: tuple[int, ...]) -> tuple[Word, ...]:
+    """Canonical words of generator content ``content`` plus one leaf of
+    the marker generator ``x_{n+1}``, the place a filling word goes."""
+    marked = replace(sig, num_generators=sig.num_generators + 1)
+    return words_of_content(marked, content + (1,))
 
 
 @cache
@@ -333,19 +298,22 @@ def _multilinearized(presentation: VarietyPresentation) -> tuple[Identity, ...]:
     return tuple(multilinearize(i) for i in presentation.identities)
 
 
-def _filled_pairs(sig, ident, degree, total, content):
-    """``(context, instances)`` pairs that fill to degree ``degree``; with
-    a ``content``, each context meets the instances of the complementary
-    content, so only rows of that content arise."""
-    for ctx in one_hole_contexts(sig, degree, total):
-        rest = None
-        if content is not None:
-            rest = tuple(a - b for a, b in zip(content, _content(ctx, len(content))))
-            if min(rest) < 0:
-                continue
-        instances = _instances(sig, ident, total, rest)
-        if instances:
-            yield ctx, instances
+def _context_pairs(sig, ident, degree, total, content):
+    """``(context, instances)`` pairs that fill to degree ``degree``,
+    grouped by context content; with a ``content``, each context meets
+    the instances of the complementary content, so only rows of that
+    content arise."""
+    outer = degree - total
+    bound = (outer,) * sig.num_generators if content is None else content
+    for ctx_content in contents(outer, bound):
+        contexts = one_hole_contexts(sig, ctx_content)
+        if contexts:
+            rest = None
+            if content is not None:
+                rest = tuple(a - b for a, b in zip(content, ctx_content))
+            instances = _instances(sig, ident, total, rest)
+            for ctx in contexts:
+                yield ctx, instances
 
 
 def relation_rows(
@@ -361,16 +329,17 @@ def relation_rows(
     generated: the same rows, in the same order, as filtering all rows.
     """
     sig = presentation.sig
+    marker = sig.num_generators + 1
     out: list[dict[Word, Fraction]] = []
     seen: set[frozenset] = set()
     for ident in _multilinearized(presentation):
         k = len(ident.variables())
         for total in range(k, degree + 1):
-            for ctx, instances in _filled_pairs(sig, ident, degree, total, content):
+            for ctx, instances in _context_pairs(sig, ident, degree, total, content):
                 for inst in instances:
                     row: dict[Word, Fraction] = {}
                     for w, c in inst.items():
-                        filled = _fill(sig, ctx, w)
+                        filled = _word_subst(sig, ctx, {marker: w})
                         row[filled] = row.get(filled, 0) + c
                     row = {w: c for w, c in row.items() if c}
                     if not row:
@@ -390,36 +359,6 @@ def relation_space(presentation: VarietyPresentation, degree: int) -> list[Eleme
     ]
 
 
-class _Level:
-    """One degree of a quotient: its words, their columns and generator
-    contents, and one row reducer per content block, built on first use.
-
-    Every relation row is multihomogeneous, so the blocks are independent
-    and the level's reduced echelon form is the union of theirs.
-    """
-
-    __slots__ = ("presentation", "degree", "words", "index", "contents", "blocks", "basis")
-
-    def __init__(self, presentation: VarietyPresentation, degree: int):
-        sig = presentation.sig
-        self.presentation = presentation
-        self.degree = degree
-        self.words = enumerate_reduced(sig, degree)
-        self.index = {w: j for j, w in enumerate(self.words)}
-        self.contents = tuple(_content(w, sig.num_generators) for w in self.words)
-        self.blocks: dict[tuple[int, ...], RowReducer] = {}
-        self.basis: tuple[Word, ...] | None = None
-
-    def block(self, content: tuple[int, ...]) -> RowReducer:
-        reducer = self.blocks.get(content)
-        if reducer is None:
-            reducer = self.blocks[content] = RowReducer()
-            index = self.index
-            for row in relation_rows(self.presentation, self.degree, content):
-                reducer.add({index[w]: c for w, c in row.items()})
-        return reducer
-
-
 class QuotientSpace:
     """Degreewise normal forms modulo the T-ideal, up to a truncation.
 
@@ -435,7 +374,9 @@ class QuotientSpace:
         )
         if self.truncation < 1:
             raise AlgebraError("truncation must be positive")
-        self._levels: dict[int, _Level] = {}
+        # content -> (words, column index, row reducer) of one block
+        self._blocks: dict[tuple[int, ...], tuple] = {}
+        self._bases: dict[int, tuple[Word, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -447,31 +388,41 @@ class QuotientSpace:
     def __hash__(self) -> int:
         return hash((self.presentation, self.truncation))
 
-    def _level(self, degree: int) -> _Level:
-        lv = self._levels.get(degree)
-        if lv is None:
+    def _block(self, content: tuple[int, ...]):
+        """The words, column index and row reducer of one content block,
+        built on first use from the relation rows of that content alone."""
+        block = self._blocks.get(content)
+        if block is None:
+            degree = sum(content)
             if degree > self.truncation:
                 raise TruncationError(
                     f"degree {degree} beyond truncation {self.truncation}"
                 )
-            lv = self._levels[degree] = _Level(self.presentation, degree)
-        return lv
+            words = words_of_content(self.sig, content)
+            index = {w: j for j, w in enumerate(words)}
+            reducer = RowReducer()
+            for row in relation_rows(self.presentation, degree, content):
+                reducer.add({index[w]: c for w, c in row.items()})
+            block = self._blocks[content] = (words, index, reducer)
+        return block
 
     def dimension(self, degree: int) -> int:
         return len(self.basis(degree))
 
     def basis(self, degree: int) -> tuple[Word, ...]:
         """Normal-form words at one degree (non-pivot words, increasing);
-        builds every content block of the level."""
+        builds every content block of the degree."""
         if degree == 0:
             return (UNIT,) if self.sig.unital else ()
-        lv = self._level(degree)
-        if lv.basis is None:
-            pivots: set[int] = set()
-            for content in dict.fromkeys(lv.contents):
-                pivots.update(lv.block(content).pivot_columns())
-            lv.basis = tuple(w for j, w in enumerate(lv.words) if j not in pivots)
-        return lv.basis
+        got = self._bases.get(degree)
+        if got is None:
+            free: list[Word] = []
+            for content in contents(degree, (degree,) * self.sig.num_generators):
+                words, _, reducer = self._block(content)
+                pivots = set(reducer.pivot_columns())
+                free.extend(w for j, w in enumerate(words) if j not in pivots)
+            got = self._bases[degree] = tuple(sorted(free))
+        return got
 
     def reduce(self, a: Element) -> Element:
         """Normal form of an element; raises
@@ -479,23 +430,20 @@ class QuotientSpace:
         Only the content blocks that the element touches are built."""
         if a.sig != self.sig:
             raise AlgebraError("element signature mismatch")
-        acc: dict[Word, Fraction] = {}
-        for degree, part in a.homogeneous_parts().items():
-            if degree == 0:
+        n = self.sig.num_generators
+        groups: dict[tuple[int, ...], list] = {}
+        for w, c in a.terms:
+            groups.setdefault(_content(w, n), []).append((w, c))
+        out = []
+        for content, terms in groups.items():
+            if not any(content):
                 # no relations reach the unit's degree
-                for w, c in part.terms:
-                    acc[w] = acc.get(w, 0) + c
+                out.extend(terms)
                 continue
-            lv = self._level(degree)
-            rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-            for w, c in part.terms:
-                j = lv.index[w]
-                rows.setdefault(lv.contents[j], {})[j] = c
-            for content, row in rows.items():
-                for j, v in lv.block(content).reduce(row).items():
-                    w = lv.words[j]
-                    acc[w] = acc.get(w, 0) + v
-        return Element(self.sig, acc)
+            words, index, reducer = self._block(content)
+            row = {index[w]: c for w, c in terms}
+            out.extend((words[j], v) for j, v in reducer.reduce(row).items())
+        return Element(self.sig, out)
 
     def doubled(self) -> "QuotientSpace":
         """The same variety presented on twice as many generators, used
@@ -514,8 +462,9 @@ def quotient_space(
 ) -> QuotientSpace:
     """Shared quotient context for a presentation.
 
-    A ``functools.cache`` memo: one instance, with every level and block
-    it has built, serves all callers until ``quotient_space.cache_clear()``.
+    A ``functools.cache`` memo: one instance, with every content block and
+    basis it has built, serves all callers until
+    ``quotient_space.cache_clear()``.
     """
     return QuotientSpace(presentation, truncation)
 

@@ -2,6 +2,7 @@ import io
 import json
 from functools import lru_cache
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -247,6 +248,24 @@ def test_long_numeral_exits_1(capsys, argv, pos):
     assert "Traceback" not in err
 
 
+HUGE = "1" * 4000  # parses, but a product of two such numerals cannot be printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["structconst", "--builtin", "witt1", f"{HUGE}*e1", f"{HUGE}*e2"],
+        ["apply", f"D[{HUGE}*(x1 x1)]", f"{HUGE}*x1"],
+    ],
+)
+def test_unprintable_result_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quotient", "--degree", "5"])  # --identity is required
@@ -308,3 +327,23 @@ def test_deep_nesting_exits_1(capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+# Recorded stdout, stderr and exit code of 19 commands, each with and
+# without --json: the README examples, a ternary probe, two-generator
+# quotient and reduce, a non-symmetric and a unital quotient, a ternary
+# engel and a quotient outside the truncation window.
+CONTRACT = json.loads(
+    (Path(__file__).parent / "data" / "cli_contract.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "record", CONTRACT, ids=[f"{r['argv'][0]}-{i}" for i, r in enumerate(CONTRACT)]
+)
+def test_cli_contract(capsys, record):
+    assert run(capsys, *record["argv"]) == (
+        record["exit"],
+        record["stdout"],
+        record["stderr"],
+    )

@@ -11,16 +11,17 @@ from derivalg.freealg import (
     Element,
     Signature,
     bracket,
+    contents,
     enumerate_reduced,
     generator,
     generators,
     generator_degrees,
-    hole,
     is_canonical,
     node,
     normalize,
     substitute,
     unit_element,
+    words_of_content,
 )
 
 from conftest import random_element
@@ -122,6 +123,51 @@ def test_enumeration_is_sorted_and_canonical():
             assert all(w.length == l for w in words)
 
 
+def raw_trees(sig, leaves):
+    """Every raw tree with exactly ``leaves`` leaves, the unit included
+    as a leaf in unital signatures."""
+    if leaves == 1:
+        yield from (generator(i) for i in range(1, sig.num_generators + 1))
+        if sig.unital:
+            yield UNIT
+        return
+    m = sig.arity
+    for cut in itertools.combinations(range(1, leaves), m - 1):
+        sizes = [b - a for a, b in zip((0,) + cut, cut + (leaves,))]
+        for kids in itertools.product(*(list(raw_trees(sig, k)) for k in sizes)):
+            yield node(kids)
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        S21,
+        SU,
+        S22,
+        Signature(2, False, False, 1),
+        Signature(2, False, True, 2),
+        S31,
+        Signature(3, False, False, 2),
+        Signature(4, True, False, 2),
+    ],
+    ids=str,
+)
+def test_words_of_content_match_normalized_raw_trees(sig):
+    # independent reference: canonical forms of every raw tree, deduplicated
+    want = {normalize(sig, t) for l in range(1, 7) for t in raw_trees(sig, l)}
+    n = sig.num_generators
+    got = set()
+    for total in range(0, 7):
+        for content in contents(total, (total,) * n):
+            words = words_of_content(sig, content)
+            assert all(words[i] < words[i + 1] for i in range(len(words) - 1))
+            for w in words:
+                degs = generator_degrees(w)
+                assert tuple(degs.get(i, 0) for i in range(1, n + 1)) == content
+            got.update(words)
+    assert got == want
+
+
 def test_normalize_sorts_ternary_children():
     x = generator(1)
     w = normalize(S31, node([x, x, node([x, x, x])]))
@@ -138,7 +184,7 @@ def test_normalize_validates():
     with pytest.raises(AlgebraError):
         normalize(S21, UNIT)
     with pytest.raises(AlgebraError):
-        normalize(S21, node([x, hole(2)]))
+        normalize(S21, node([x, generator(2)]))
 
 
 def test_normalize_absorbs_unit():

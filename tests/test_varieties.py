@@ -108,13 +108,13 @@ def test_partial_linearization_needs_repeats():
 
 
 def test_one_hole_contexts_small():
-    ctxs = one_hole_contexts(S21, 4, 2)
+    ctxs = one_hole_contexts(S21, (2,))
     assert len(ctxs) == 2
-    assert all(w.length == 4 for w in ctxs)
-    # the bare hole is the unique context of its own degree
-    assert len(one_hole_contexts(S21, 3, 3)) == 1
+    assert all(generator_degrees(w) == {1: 2, 2: 1} for w in ctxs)
+    # the bare marker is the unique context of empty content
+    assert one_hole_contexts(S21, (0,)) == (generator(2),)
     # incompatible degrees give nothing
-    assert one_hole_contexts(S31, 4, 3) == ()
+    assert one_hole_contexts(S31, (1,)) == ()
 
 
 def test_relation_space_contains_defining_instances():
@@ -328,10 +328,9 @@ def test_clearing_every_memo_rebuilds_identical_results():
     memos = _memos()
     assert set(memos) == {
         "freealg.generator",
-        "freealg.hole",
+        "freealg.words_of_content",
         "freealg.enumerate_reduced",
         "varieties._instances",
-        "varieties.one_hole_contexts",
         "varieties._multilinearized",
         "varieties.quotient_space",
         "structconst.builtin",
