@@ -167,20 +167,15 @@ def apply(d: Derivation, a: Element) -> Element:
                 got = d.coords[w.gen - 1]
             else:
                 kids = w.children
-                acc: dict[Word, Fraction] = {}
-                for i, c in enumerate(kids):
-                    for u, k in der(c).terms:
-                        nw = bracket_words(sig, kids[:i] + (u,) + kids[i + 1:])
-                        acc[nw] = acc.get(nw, 0) + k
-                got = Element(sig, acc)
+                got = Element(sig, [
+                    (bracket_words(sig, kids[:i] + (u,) + kids[i + 1:]), k)
+                    for i, c in enumerate(kids)
+                    for u, k in der(c).terms
+                ])
             cache[w] = got
         return got
 
-    acc: dict[Word, Fraction] = {}
-    for w, c in a.terms:
-        for u, k in der(w).terms:
-            acc[u] = acc.get(u, 0) + c * k
-    out = Element(sig, acc)
+    out = Element(sig, [(u, c * k) for w, c in a.terms for u, k in der(w).terms])
     if d.context is not None:
         out = d.context.reduce(out)
     return out

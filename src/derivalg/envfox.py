@@ -36,6 +36,7 @@ from .freealg import (
     doubled_signature,
     format_linear,
     generator,
+    generator_degrees,
     is_canonical,
     normalize,
 )
@@ -48,13 +49,9 @@ def partner(sig: Signature, j: int) -> Word:
     return generator(sig.num_generators + j)
 
 
-def embed(a: Element, dsig: Signature | None = None) -> Element:
+def embed(a: Element) -> Element:
     """View an element of the base algebra inside the doubled one."""
-    if dsig is None:
-        dsig = doubled_signature(a.sig)
-    elif dsig != doubled_signature(a.sig):
-        raise AlgebraError("target is not the doubled signature")
-    return Element(dsig, iter(a))
+    return Element(doubled_signature(a.sig), a.terms)
 
 
 def omega(b: Element) -> Element:
@@ -66,7 +63,7 @@ def omega(b: Element) -> Element:
     dsig = doubled_signature(sig)
     coords = [Element.from_word(dsig, generator(n + j)) for j in range(1, n + 1)]
     coords.extend(Element.zero(dsig) for _ in range(n))
-    return apply(Derivation(dsig, coords), embed(b, dsig))
+    return apply(Derivation(dsig, coords), embed(b))
 
 
 class EnvGenerator:
@@ -169,12 +166,9 @@ class EnvElement(LinearCombination):
     def __mul__(self, other):
         if isinstance(other, EnvElement):
             self._check(other)
-            acc: dict[tuple[EnvGenerator, ...], Fraction] = {}
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
-                    m = m1 + m2
-                    acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-            return EnvElement(self.sig, acc)
+            return EnvElement(self.sig, [
+                (m1 + m2, c1 * c2) for m1, c1 in self.terms for m2, c2 in other.terms
+            ])
         return self.scale(other)
 
     def __str__(self) -> str:
@@ -207,14 +201,6 @@ def env_generator(sig: Signature, args: Sequence, slot: int | None = None) -> En
     return EnvElement(sig, [((EnvGenerator(sig, ws, slot),), c) for c, ws in expanded])
 
 
-def _holds_partner(w: Word, n: int) -> bool:
-    if w.is_generator:
-        return w.gen > n
-    if w.is_node:
-        return any(_holds_partner(c, n) for c in w.children)
-    return False
-
-
 def fox_derivatives(b: Element) -> tuple[EnvElement, ...]:
     """The unique operators ``u_1..u_n`` with ``omega(b) = sum u_j y_j``,
     read off by peeling the root-to-partner path of every term."""
@@ -225,7 +211,11 @@ def fox_derivatives(b: Element) -> tuple[EnvElement, ...]:
         factors = []
         cur = w
         while cur.is_node:
-            (k,) = [i for i, ch in enumerate(cur.children) if _holds_partner(ch, n)]
+            (k,) = [
+                i
+                for i, ch in enumerate(cur.children)
+                if max(generator_degrees(ch), default=0) > n
+            ]
             others = cur.children[:k] + cur.children[k + 1 :]
             factors.append(
                 EnvGenerator(sig, others, None if sig.symmetric else k + 1)

@@ -17,11 +17,11 @@ lexicographically by their children.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class AlgebraError(Exception):
@@ -239,9 +239,11 @@ class LinearCombination:
     """A finite rational linear combination of keys over a parent.
 
     The one sparse core behind :class:`Element`, ``envfox.EnvElement``
-    and ``structconst.IndexedElement``.  Repeated keys are summed, zero
-    coefficients dropped, and ``terms`` is an association tuple sorted by
-    the subclass's ``_order`` (a sort key on ``(key, coefficient)`` pairs;
+    and ``structconst.IndexedElement``.  Callers pass raw ``(key,
+    coefficient)`` pairs and only the constructor sums them: repeated
+    keys are added, zero coefficients dropped, every coefficient becomes
+    a ``Fraction``, and ``terms`` is an association tuple sorted by the
+    subclass's ``_order`` (a sort key on ``(key, coefficient)`` pairs;
     ``None`` sorts the keys naturally), which makes equality, hashing and
     printing deterministic.  A subclass exposes the parent under its own
     name, may validate and convert every key through ``_check_key``, and
@@ -261,7 +263,8 @@ class LinearCombination:
             items = ((check(parent, k), c) for k, c in items)
         acc: dict = {}
         for k, c in items:
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 prev = acc.get(k)
                 total = c if prev is None else prev + c
@@ -303,19 +306,14 @@ class LinearCombination:
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, 0) + c
-        return type(self)(self._parent, acc)
+        return type(self)(self._parent, self.terms + other.terms)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, 0) - c
-        return type(self)(self._parent, acc)
+        negated = ((k, -c) for k, c in other.terms)
+        return type(self)(self._parent, itertools.chain(self.terms, negated))
 
     def __neg__(self):
         return type(self)(self._parent, [(k, -c) for k, c in self.terms])
@@ -414,14 +412,13 @@ def bracket(args: Sequence[Element]) -> Element:
             raise AlgebraError("mixed signatures in bracket")
     if len(args) != sig.arity:
         raise ArityError(f"bracket of {len(args)} arguments in arity {sig.arity}")
-    acc: dict[Word, Fraction] = {}
+    pairs = []
     for combo in itertools.product(*(a.terms for a in args)):
-        w = bracket_words(sig, [t[0] for t in combo])
         c = combo[0][1]
         for t in combo[1:]:
             c = c * t[1]
-        acc[w] = acc.get(w, 0) + c
-    return Element(sig, acc)
+        pairs.append((bracket_words(sig, [t[0] for t in combo]), c))
+    return Element(sig, pairs)
 
 
 def contents(total: int, bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -525,11 +522,9 @@ def substitute(template: Element, images: Mapping[int, Element]) -> Element:
             cache[w] = got
         return got
 
-    acc: dict[Word, Fraction] = {}
-    for w, c in template.terms:
-        for u, k in ev(w).terms:
-            acc[u] = acc.get(u, 0) + c * k
-    return Element(target, acc)
+    return Element(
+        target, [(u, c * k) for w, c in template.terms for u, k in ev(w).terms]
+    )
 
 
 def generator_degrees(w: Word) -> dict[int, int]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable
 
 from .deriv import Derivation
 from .freealg import (

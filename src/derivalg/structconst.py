@@ -130,12 +130,12 @@ class IndexedElement(LinearCombination):
     def __mul__(self, other):
         if isinstance(other, IndexedElement):
             self._check(other)
-            acc: dict[int, Fraction] = {}
-            for s, cs in self.terms:
-                for t, ct in other.terms:
-                    for c, i in self.alg.rule(s, t):
-                        acc[i] = acc.get(i, Fraction(0)) + cs * ct * c
-            return IndexedElement(self.alg, acc)
+            return IndexedElement(self.alg, [
+                (i, cs * ct * c)
+                for s, cs in self.terms
+                for t, ct in other.terms
+                for c, i in self.alg.rule(s, t)
+            ])
         return self.scale(other)
 
     def __str__(self) -> str:

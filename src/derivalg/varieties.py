@@ -35,7 +35,6 @@ and a bounded Engel probe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -53,7 +52,6 @@ from .freealg import (
     bracket_words,
     contents,
     doubled_signature,
-    enumerate_reduced,
     generator,
     generator_degrees,
     substitute,
@@ -207,16 +205,6 @@ def default_truncation(sig: Signature) -> int:
     return 8 if sig.arity == 2 else 9
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _word_subst(sig: Signature, w: Word, images: dict[int, Word]) -> Word:
     """Replace the generator leaves of ``w`` that ``images`` names and
     re-canonicalize the brackets above them."""
@@ -228,16 +216,16 @@ def _word_subst(sig: Signature, w: Word, images: dict[int, Word]) -> Word:
 
 
 def _with_content(pools, budget):
-    """The word tuples of ``itertools.product(*pools)`` whose contents
-    add up to ``budget``, in the same order; ``pools`` hold
-    ``(word, content)`` pairs."""
+    """The word tuples of the product of ``pools`` whose contents add up
+    to ``budget``, in product order; ``pools`` hold ``(word, content)``
+    pairs, and a ``budget`` of ``None`` keeps every tuple."""
     if not pools:
-        if not any(budget):
+        if budget is None or not any(budget):
             yield ()
         return
     for w, c in pools[0]:
-        left = tuple(b - x for b, x in zip(budget, c))
-        if min(left) >= 0:
+        left = None if budget is None else tuple(b - x for b, x in zip(budget, c))
+        if left is None or min(left) >= 0:
             for rest in _with_content(pools[1:], left):
                 yield (w,) + rest
 
@@ -251,26 +239,20 @@ def _instances(
     generator contents summing to ``content``)."""
     variables = ident.variables()
     k = len(variables)
-    if content is not None:
-        # words of each length inside the content, in word order
-        tagged = {
-            l: sorted(
-                ((w, c) for c in contents(l, content) for w in words_of_content(sig, c)),
-                key=lambda t: t[0].key,
-            )
-            for l in range(1, total - k + 2)
-        }
+    bound = (total,) * sig.num_generators if content is None else content
+    # words of each length inside the bound, in word order
+    pools = {
+        l: sorted(
+            ((w, c) for c in contents(l, bound) for w in words_of_content(sig, c)),
+            key=lambda t: t[0].key,
+        )
+        for l in range(1, total - k + 2)
+    }
     out: list[dict[Word, Fraction]] = []
     seen: set[frozenset] = set()
-    for lengths in _compositions(total, k):
-        pools = [enumerate_reduced(sig, l) for l in lengths]
-        if any(not p for p in pools):
-            continue
-        if content is None:
-            combos = itertools.product(*pools)
-        else:
-            combos = _with_content([tagged[l] for l in lengths], content)
-        for combo in combos:
+    # the argument lengths: compositions of ``total`` into ``k`` positive parts
+    for parts in contents(total - k, (total - k,) * k):
+        for combo in _with_content([pools[p + 1] for p in parts], content):
             images = dict(zip(variables, combo))
             inst: dict[Word, Fraction] = {}
             for w, c in ident.element.terms:
@@ -349,14 +331,6 @@ def relation_rows(
                         seen.add(fs)
                         out.append(row)
     return out
-
-
-def relation_space(presentation: VarietyPresentation, degree: int) -> list[Element]:
-    """The spanning set of T-ideal relations at one degree, as elements."""
-    return [
-        Element(presentation.sig, row)
-        for row in relation_rows(presentation, degree)
-    ]
 
 
 class QuotientSpace:
@@ -467,18 +441,6 @@ def quotient_space(
     ``quotient_space.cache_clear()``.
     """
     return QuotientSpace(presentation, truncation)
-
-
-def quotient_basis(
-    presentation: VarietyPresentation, degree: int, truncation: int | None = None
-) -> tuple[Word, ...]:
-    return quotient_space(presentation, truncation).basis(degree)
-
-
-def reduce(
-    a: Element, presentation: VarietyPresentation, truncation: int | None = None
-) -> Element:
-    return quotient_space(presentation, truncation).reduce(a)
 
 
 def left_mul_matrix(

@@ -1,6 +1,9 @@
 """The sparse linear-combination arithmetic shared by the three element
 types: free-algebra elements, operator elements and indexed elements."""
 
+from fractions import Fraction
+from types import MappingProxyType
+
 import pytest
 
 from derivalg import (
@@ -21,6 +24,11 @@ X1 = generator(1)
 X11 = node([X1, X1])
 U1 = EnvGenerator(S21, [X1])
 U11 = EnvGenerator(S21, [X11])
+
+
+class Ratio(Fraction):
+    """A ``Fraction`` subclass; coefficients must still come out as ``Fraction``."""
+
 
 # (type, parent, another parent, keys in the type's documented term order)
 CASES = {
@@ -54,6 +62,11 @@ def test_shared_arithmetic(case):
 
     same = cls(parent, [(k2, -3), (k0, 1), (k0, 1)])
     assert same == a and hash(same) == hash(a)
+    assert cls(parent, MappingProxyType({k0: 2, k2: -3})) == a
+
+    for c in (3, True, Fraction(1, 2), Ratio(3, 4)):
+        for x in (cls(parent, [(k0, c)]), cls(parent, {k0: c, k1: c})):
+            assert x.terms and all(type(v) is Fraction and v == c for _, v in x.terms)
 
     full = cls(parent, [(k, i + 1) for i, k in enumerate(reversed(keys))])
     assert [k for k, _ in full.terms] == keys
