@@ -193,21 +193,33 @@ def normalize(sig: Signature, w: Word) -> Word:
 
     Validates leaf indices and node arities against the signature, absorbs
     unit children (binary unital case) and sorts the children of symmetric
-    nodes.  Idempotent on canonical words.
+    nodes.  Idempotent on canonical words.  Words of any depth are walked
+    on an explicit stack, checking the nodes in pre-order, so the first
+    fault from the left is the one reported.
     """
-    if w.is_generator:
-        if w.gen > sig.num_generators:
-            raise AlgebraError(f"generator x{w.gen} outside signature")
-        return w
-    if w.is_unit:
-        if not sig.unital:
-            raise AlgebraError("unit in a non-unital signature")
-        return w
-    if len(w.children) != sig.arity:
-        raise ArityError(
-            f"node with {len(w.children)} children in arity {sig.arity}"
-        )
-    return bracket_words(sig, [normalize(sig, c) for c in w.children])
+    m = sig.arity
+    done: list[Word] = []  # canonical forms of the finished subtrees
+    stack: list[Word | None] = [w]  # None: bracket the last m finished ones
+    while stack:
+        u = stack.pop()
+        if u is None:
+            children = done[-m:]
+            del done[-m:]
+            done.append(bracket_words(sig, children))
+        elif u.is_generator:
+            if u.gen > sig.num_generators:
+                raise AlgebraError(f"generator x{u.gen} outside signature")
+            done.append(u)
+        elif u.is_unit:
+            if not sig.unital:
+                raise AlgebraError("unit in a non-unital signature")
+            done.append(u)
+        elif len(u.children) != m:
+            raise ArityError(f"node with {len(u.children)} children in arity {m}")
+        else:
+            stack.append(None)
+            stack.extend(reversed(u.children))
+    return done[0]
 
 
 def is_canonical(sig: Signature, w: Word) -> bool:

@@ -1,14 +1,18 @@
 """Text grammar for words, elements, derivations and indexed elements.
 
-Words are s-expressions over generators ``x1..xn`` and the unit ``1``:
-``(x1 (x1 x1))``.  Elements are signed sums of terms ``coeff*word``
-with rational coefficients (``3/2*(x1 x1) - x1``); a bare ``1`` is the
-unit word and a bare ``0`` the zero element.  Derivations are either
-signed sums of coordinate terms ``coeff*word d<i>`` or the compact
-``D[f1, .., fn]`` listing every coordinate.  Indexed-algebra elements
-are sums like ``2*e2 - e-1`` or ``3/2*x^3``.  Parsing is
-whitespace-tolerant; every error carries the offset it occurred at.
-All output printed by the package parses back to an equal value.
+Words are s-expressions over generators ``x1..xn`` and the unit ``1``,
+nested to any depth: ``(x1 (x1 x1))``.  Every other format but the index
+range ``lo..hi`` is one grammar, a signed sum of terms ``[p[/q]*]key``
+with rational coefficients, in which a lone ``0`` is the empty sum.  The
+formats differ only in the key: a word for elements (``3/2*(x1 x1) -
+x1``, where a bare ``1`` is the unit word), a word followed by ``d<i>``
+for derivations in sum form (``2*(x1 x2) d1 - x1 d2``; the compact
+``D[f1, .., fn]`` lists every coordinate as an element), and a basis
+name such as ``e2``, ``e-1`` or ``x^3`` for indexed-algebra elements.
+Parsing is whitespace-tolerant except inside a basis name and around the
+``/`` of an indexed coefficient; every error carries the offset it
+occurred at.  All output printed by the package parses back to an equal
+value.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ _TOKEN = re.compile(
     r"|(?P<minus>-)"
     r"|(?P<star>\*)"
     r"|(?P<slash>/)"
+    r"|(?P<caret>\^)"
     r"|(?P<ident>[A-Za-z]\w*)"
     r"|(?P<number>\d+)"
 )
@@ -73,6 +78,7 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, closed by an ``end`` token at its length."""
     out = []
     pos = 0
     while pos < len(text):
@@ -82,26 +88,22 @@ def _tokenize(text: str) -> list[_Token]:
         if m.lastgroup != "ws":
             out.append(_Token(m.lastgroup, m.group(), pos))
         pos = m.end()
+    out.append(_Token("end", "", len(text)))
     return out
 
 
 class _Stream:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.length = len(text)
         self.i = 0
 
-    @property
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if not self.done else None
+    def peek(self, ahead: int = 0) -> _Token:
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
     def advance(self) -> _Token:
-        if self.done:
-            raise ParseError("unexpected end of input", self.length)
-        tok = self.tokens[self.i]
+        tok = self.peek()
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.pos)
         self.i += 1
         return tok
 
@@ -112,8 +114,8 @@ class _Stream:
         return tok
 
     def finish(self) -> None:
-        if not self.done:
-            tok = self.tokens[self.i]
+        tok = self.peek()
+        if tok.kind != "end":
             raise ParseError(f"trailing input {tok.text!r}", tok.pos)
 
 
@@ -121,30 +123,32 @@ _GEN = re.compile(r"^x([1-9]\d*)$")
 
 
 def _word(stream: _Stream) -> Word:
-    tok = stream.advance()
-    if tok.kind == "number":
-        if tok.text == "1":
-            return UNIT
-        raise ParseError(f"{tok.text!r} is not a word", tok.pos)
-    if tok.kind == "ident":
-        m = _GEN.match(tok.text)
-        if m:
-            return generator(_int(m.group(1), tok.pos + 1))
-        raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
-    if tok.kind == "lparen":
-        children = []
-        while True:
-            nxt = stream.peek()
-            if nxt is None:
-                raise ParseError("unclosed parenthesis", stream.length)
-            if nxt.kind == "rparen":
-                break
-            children.append(_word(stream))
-        stream.expect("rparen")
-        if not children:
-            raise ParseError("empty product", tok.pos)
-        return node(children)
-    raise ParseError(f"expected a word, found {tok.text!r}", tok.pos)
+    """A raw word; brackets nest to any depth on an explicit stack of
+    ``(position of the open bracket, children read so far)``."""
+    stack: list[tuple[int, list[Word]]] = []
+    while True:
+        if stack and stream.peek().kind == "end":
+            raise ParseError("unclosed parenthesis", stream.peek().pos)
+        tok = stream.advance()
+        if tok.kind == "lparen":
+            stack.append((tok.pos, []))
+            continue
+        if tok.kind == "rparen" and stack:
+            pos, children = stack.pop()
+            if not children:
+                raise ParseError("empty product", pos)
+            w = node(children)
+        elif tok.kind == "number" and tok.text == "1":
+            w = UNIT
+        elif tok.kind == "ident" and (m := _GEN.match(tok.text)):
+            w = generator(_int(m.group(1), tok.pos + 1))
+        elif tok.kind == "ident":
+            raise ParseError(f"unknown symbol {tok.text!r}", tok.pos)
+        else:
+            raise ParseError(f"expected a word, found {tok.text!r}", tok.pos)
+        if not stack:
+            return w
+        stack[-1][1].append(w)
 
 
 def parse_word(text: str, sig: Signature) -> Word:
@@ -155,78 +159,47 @@ def parse_word(text: str, sig: Signature) -> Word:
     return normalize(sig, w)
 
 
-def _coefficient(stream: _Stream) -> Fraction:
-    num = stream.expect("number")
-    value = Fraction(_int(num.text, num.pos))
-    nxt = stream.peek()
-    if nxt is not None and nxt.kind == "slash":
+_SIGNS = {"plus": 1, "minus": -1}
+
+
+def _sum(stream: _Stream, key, stops: tuple[str, ...] = ()) -> list[tuple]:
+    """Signed ``[p[/q]*]key`` terms up to a token of a kind in ``stops``
+    or the end of input, as ``(key(stream), coefficient)`` pairs; a lone
+    ``0`` is the empty sum."""
+    stops += ("end",)
+    if stream.peek().text == "0" and stream.peek(1).kind in stops:
         stream.advance()
-        den = stream.expect("number")
-        d = _int(den.text, den.pos)
-        if d == 0:
-            raise ParseError("zero denominator", den.pos)
-        value /= d
-    return value
+        return []
+    terms = []
+    while (tok := stream.peek()).kind not in stops:
+        sign = _SIGNS.get(tok.kind)
+        if sign is not None:
+            stream.advance()
+        elif terms:
+            raise ParseError(f"expected + or -, found {tok.text!r}", tok.pos)
+        coeff = Fraction(sign or 1)
+        if stream.peek().kind == "number" and stream.peek(1).kind in ("star", "slash"):
+            num = stream.advance()
+            coeff *= _int(num.text, num.pos)
+            if stream.advance().kind == "slash":
+                den = stream.expect("number")
+                if not (d := _int(den.text, den.pos)):
+                    raise ParseError("zero denominator", den.pos)
+                coeff /= d
+                stream.expect("star")
+        terms.append((key(stream), coeff))
+    if not terms:
+        raise ParseError("expected a term", tok.pos)
+    return terms
 
 
-def _term(stream: _Stream, sig: Signature) -> tuple[Fraction, Word]:
-    """One ``coeff*word`` (or bare word / bare unit) term."""
-    tok = stream.peek()
-    if tok is None:
-        raise ParseError("expected a term", stream.length)
-    if tok.kind == "number":
-        nxt = (
-            stream.tokens[stream.i + 1]
-            if stream.i + 1 < len(stream.tokens)
-            else None
-        )
-        if nxt is not None and nxt.kind in ("star", "slash"):
-            coeff = _coefficient(stream)
-            stream.expect("star")
-            return coeff, normalize(sig, _word(stream))
-        # a bare number must be the unit word
-        return Fraction(1), normalize(sig, _word(stream))
-    return Fraction(1), normalize(sig, _word(stream))
-
-
-def _sign(stream: _Stream, first: bool) -> int | None:
-    tok = stream.peek()
-    if tok is None:
-        return None
-    if tok.kind == "plus":
-        stream.advance()
-        return 1
-    if tok.kind == "minus":
-        stream.advance()
-        return -1
-    if first:
-        return 1
-    raise ParseError(f"expected + or -, found {tok.text!r}", tok.pos)
-
-
-def _is_bare_zero(stream: _Stream) -> bool:
-    return (
-        len(stream.tokens) == 1
-        and stream.tokens[0].kind == "number"
-        and stream.tokens[0].text == "0"
-    )
+def _element(stream: _Stream, sig: Signature, stops: tuple[str, ...] = ()) -> Element:
+    return Element(sig, _sum(stream, lambda s: normalize(sig, _word(s)), stops))
 
 
 def parse_element(text: str, sig: Signature) -> Element:
     """A rational combination of canonical words."""
-    stream = _Stream(text)
-    if _is_bare_zero(stream):
-        return Element.zero(sig)
-    terms = []
-    first = True
-    while not stream.done:
-        sign = _sign(stream, first)
-        coeff, w = _term(stream, sig)
-        terms.append((w, sign * coeff))
-        first = False
-    if first:
-        raise ParseError("empty element", 0)
-    return Element(sig, terms)
+    return _element(_Stream(text), sig)
 
 
 _DER = re.compile(r"^d([1-9]\d*)$")
@@ -235,25 +208,17 @@ _DER = re.compile(r"^d([1-9]\d*)$")
 def parse_derivation(text: str, sig: Signature) -> Derivation:
     """Either ``D[f1, .., fn]`` or a sum of ``coeff*word d<i>`` terms."""
     stream = _Stream(text)
-    if _is_bare_zero(stream):
-        return Derivation.zero(sig)
-    tok = stream.peek()
-    if tok is not None and tok.kind == "ident" and tok.text == "D":
+    if stream.peek().kind == "ident" and stream.peek().text == "D":
         stream.advance()
         stream.expect("lbracket")
-        coords = []
-        while True:
-            coords.append(_element_until(stream, sig, ("comma", "rbracket")))
-            if stream.advance().kind == "rbracket":
-                break
+        coords = [_element(stream, sig, ("comma", "rbracket"))]
+        while stream.advance().kind == "comma":
+            coords.append(_element(stream, sig, ("comma", "rbracket")))
         stream.finish()
         return Derivation(sig, coords)
 
-    pairs: dict[int, list[tuple[Word, Fraction]]] = {}
-    first = True
-    while not stream.done:
-        sign = _sign(stream, first)
-        coeff, w = _term(stream, sig)
+    def coordinate(stream: _Stream) -> tuple[int, Word]:
+        w = normalize(sig, _word(stream))
         d = stream.expect("ident")
         m = _DER.match(d.text)
         if not m:
@@ -261,97 +226,52 @@ def parse_derivation(text: str, sig: Signature) -> Derivation:
         i = _int(m.group(1), d.pos + 1)
         if i > sig.num_generators:
             raise ParseError(f"no coordinate d{i}", d.pos)
-        pairs.setdefault(i, []).append((w, sign * coeff))
-        first = False
-    if first:
-        raise ParseError("empty derivation", 0)
+        return i, w
+
+    terms = _sum(stream, coordinate)
     return Derivation(
         sig,
         [
-            Element(sig, pairs.get(i, ()))
+            Element(sig, [(w, c) for (j, w), c in terms if j == i])
             for i in range(1, sig.num_generators + 1)
         ],
     )
 
 
-def _element_until(stream: _Stream, sig: Signature, stops: tuple[str, ...]) -> Element:
-    tok = stream.peek()
-    if (
-        tok is not None
-        and tok.kind == "number"
-        and tok.text == "0"
-        and (
-            stream.i + 1 >= len(stream.tokens)
-            or stream.tokens[stream.i + 1].kind in stops
-        )
-    ):
-        stream.advance()
-        return Element.zero(sig)
-    terms = []
-    first = True
-    while True:
-        tok = stream.peek()
-        if tok is None:
-            raise ParseError("unclosed derivation bracket", stream.length)
-        if tok.kind in stops:
-            break
-        sign = _sign(stream, first)
-        coeff, w = _term(stream, sig)
-        terms.append((w, sign * coeff))
-        first = False
-    if first:
-        raise ParseError("empty coordinate", stream.length)
-    return Element(sig, terms)
-
-
-_IDX_SIGN = re.compile(r"\s*(?P<sign>[+-])\s*")
-_IDX_TERM = re.compile(
-    r"\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?\s*\*\s*)?"
-    r"(?P<sym>[A-Za-z]+)(?P<caret>\^)?(?P<idx>-?\d+)\s*"
-)
+_BASIS = re.compile(r"([A-Za-z]+)(\^?)(-?\d+)")
 
 
 def parse_indexed(text: str, alg: IndexedAlgebra) -> IndexedElement:
-    """An element of an indexed algebra, e.g. ``2*e2 - e-1`` or ``3/2*x^3``."""
-    if text.strip() == "0":
-        return IndexedElement(alg)
-    terms = []
-    pos = 0
-    first = True
-    while pos < len(text):
-        m = _IDX_SIGN.match(text, pos)
-        if m is not None:
-            sign = 1 if m.group("sign") == "+" else -1
-            pos = m.end()
-        elif first:
-            sign = 1
-        elif not text[pos:].strip():
-            break
-        else:
-            raise ParseError("expected + or -", pos)
-        m = _IDX_TERM.match(text, pos)
+    """An element of an indexed algebra, e.g. ``2*e2 - e-1`` or ``3/2*x^3``.
+
+    A basis name is one unbroken run such as ``e-1`` or ``x^3``, and a
+    coefficient ``p/q`` has no space around its ``/``."""
+    spaced = re.search(r"\s/|/\s", text)
+    if spaced:
+        raise ParseError("space around '/'", spaced.start())
+
+    def basis_index(stream: _Stream) -> int:
+        first = stream.expect("ident")
+        name, end = first.text, first.pos + len(first.text)
+        # extend the name by the ^, - and numeral written right after it
+        while not name[-1].isdigit():
+            tok = stream.peek()
+            if tok.pos != end or tok.kind not in ("caret", "minus", "number"):
+                break
+            stream.advance()
+            name, end = name + tok.text, end + len(tok.text)
+        m = _BASIS.fullmatch(name)
         if m is None:
-            raise ParseError("expected an indexed term", pos)
-        coeff = Fraction(1)
-        if m.group("num") is not None:
-            den = m.group("den")
-            coeff = Fraction(
-                _int(m.group("num"), m.start("num")),
-                1 if den is None else _int(den, m.start("den")),
-            )
-        if m.group("sym") != alg.symbol:
+            raise ParseError(f"expected a basis name, found {name!r}", first.pos)
+        if m[1] != alg.symbol:
             raise ParseError(
-                f"expected basis symbol {alg.symbol!r}, found {m.group('sym')!r}",
-                m.start("sym"),
+                f"expected basis symbol {alg.symbol!r}, found {m[1]!r}", first.pos
             )
-        if bool(m.group("caret")) != alg.power_style:
-            raise ParseError("wrong basis notation for this algebra", m.start("sym"))
-        terms.append((_int(m.group("idx"), m.start("idx")), sign * coeff))
-        pos = m.end()
-        first = False
-    if first:
-        raise ParseError("empty element", 0)
-    return IndexedElement(alg, terms)
+        if bool(m[2]) != alg.power_style:
+            raise ParseError("wrong basis notation for this algebra", first.pos)
+        return _int(m[3], first.pos + m.start(3))
+
+    return IndexedElement(alg, _sum(_Stream(text), basis_index))
 
 
 def parse_index_range(text: str) -> tuple[int, int]:

@@ -347,3 +347,9 @@ def test_cli_contract(capsys, record):
         record["stdout"],
         record["stderr"],
     )
+
+
+def test_indexed_zero_denominator_exits_1(capsys):
+    code, out, err = run(capsys, "structconst", "--builtin", "witt1", "1/0*e1", "e2")
+    assert (code, out) == (1, "")
+    assert err == "error: zero denominator (at position 2)\n"

@@ -1,4 +1,5 @@
-"""Import hygiene of the package modules: every imported name is used."""
+"""Hygiene of the package modules: every imported name is used, and
+every module-level private name is read by some package module."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,70 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom typing import Iterable, Sequence\nx: Sequence = os.sep\n"
     assert unused_imports(source) == ["Iterable (line 2)"]
+
+
+def bound_private_names(stmt: ast.stmt) -> list[str]:
+    """The ``_name`` functions, classes and constants a module-level
+    statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [
+            n.id
+            for t in targets
+            for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        ]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private names -> line of their first definition."""
+    defined: dict[str, int] = {}
+    for stmt in ast.parse(source).body:
+        for name in bound_private_names(stmt):
+            defined.setdefault(name, stmt.lineno)
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads, bare or as an attribute, outside the
+    statement that binds them (a helper calling itself is still dead)."""
+    read: set[str] = set()
+    for stmt in ast.parse(source).body:
+        here: set[str] = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+        read |= here - set(bound_private_names(stmt))
+    return read
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name (line n)`` of every module-level private name that
+    no module of ``sources`` reads."""
+    read = set().union(*(names_read(s) for s in sources.values()))
+    return [
+        f"{module}:{name} (line {line})"
+        for module, source in sorted(sources.items())
+        for name, line in private_definitions(source).items()
+        if name not in read
+    ]
+
+
+def test_package_has_no_dead_private_helper():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_helper_is_reported():
+    sources = {
+        "a.py": "_LIMIT = 3\n_seen: set = set()\n\ndef _walk(n):\n    return _walk(n - 1)\n",
+        "b.py": "from .a import _LIMIT\n\ndef _used():\n    return _LIMIT\n\nx = _used()\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_seen (line 2)", "a.py:_walk (line 4)"]

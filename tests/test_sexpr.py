@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from derivalg.freealg import AlgebraError, Signature, generator, node, unit_element
+from derivalg.freealg import (
+    AlgebraError,
+    Element,
+    Signature,
+    bracket_words,
+    generator,
+    node,
+    unit_element,
+)
 from derivalg.sexpr import (
     ParseError,
     parse_derivation,
@@ -156,3 +166,60 @@ def test_parse_index_range():
         parse_index_range("5..0")
     with pytest.raises(ParseError):
         parse_index_range("1-5")
+
+
+@pytest.mark.parametrize("sig", [S21, S24], ids=["S21", "S24"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_words_of_any_depth_parse(sig, side):
+    depth = 5000
+    x = generator(1)
+    if side == "left":
+        text = "(" * depth + "x1" + " x1)" * depth
+    else:
+        text = "(x1 " * depth + "x1" + ")" * depth
+    want = x
+    for _ in range(depth):
+        want = bracket_words(sig, [want, x] if side == "left" else [x, want])
+    assert parse_word(text, sig) is want
+    assert parse_element(text, sig) == Element.from_word(sig, want)
+    assert parse_element(f"2*{text} - x1", sig).coeff(want) == 2
+
+
+PIECES = "x1 x2 x3 1 0 2 3/2 * + - ( ) [ ] , d1 d2 D e e2 e-1 x ^ f1 / -1 x0 ?"
+PIECE = st.sampled_from(PIECES.split() + [" "])
+# signed terms with a coefficient in front of one to three pieces
+TERM = st.tuples(
+    st.sampled_from(["", "+", " - "]),
+    st.sampled_from(["", "2*", "3/2*", "1/0*", "2 / 3*", "0*"]),
+    st.lists(PIECE, min_size=1, max_size=3).map("".join),
+).map("".join)
+TEXTS = st.one_of(
+    st.lists(PIECE, max_size=14).map("".join),
+    st.lists(TERM, min_size=1, max_size=3).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEXTS)
+def test_parsers_return_or_raise_algebra_error(text):
+    parsers = [
+        lambda: parse_word(text, S22),
+        lambda: parse_element(text, S24),
+        lambda: parse_derivation(text, S22),
+        lambda: parse_indexed(text, builtin("witt1")),
+        lambda: parse_indexed(text, builtin("dual_leibniz_alg")),
+        lambda: parse_index_range(text),
+    ]
+    for parse in parsers:
+        try:
+            parse()
+        except AlgebraError:
+            pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(ALL_SIGS))
+def test_bracket_form_parses_like_sum_form(rng, sig):
+    d = random_derivation(sig, rng, max_length=4, terms=3)
+    bracket_form = "D[" + ", ".join(str(f) for f in d.coords) + "]"
+    assert parse_derivation(bracket_form, sig) == parse_derivation(str(d), sig) == d
