@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .deriv import Derivation, apply, is_left_nilpotent, is_right_nilpotent, lsym_mul
 from .envfox import jacobian, mat_is_nilpotent
-from .freealg import UNKNOWN, AlgebraError, Element, Signature
+from .freealg import UNKNOWN, AlgebraError, Element, Signature, generators, substitute
 from .genpos import certificate, span_check
 from .sexpr import (
     _int,
@@ -135,12 +135,17 @@ def _payload(text: str) -> str:
 def _parse_identity(
     text: str, arity: int, symmetric: bool, unital: bool
 ) -> Element:
-    """Parse an identity payload (read once) over as many variables as its
-    highest generator index."""
+    """Parse an identity payload (read once) and rename the variables that
+    occur to ``x1..xk`` in index order: they are dummies, so an identity
+    in ``x1`` and ``x7`` lives over two generators, not seven."""
     text = _payload(text)
     found = [_int(m.group(1), m.start(1)) for m in re.finditer(r"x([1-9]\d*)", text)]
-    sig = Signature(arity, symmetric, unital, max(found, default=1))
-    return parse_element(text, sig)
+    a = parse_element(text, Signature(arity, symmetric, unital, max(found, default=1)))
+    occurring = sorted({i for w, _ in a.terms for i, _ in w.content})
+    if not occurring:
+        return a
+    sig = Signature(arity, symmetric, unital, len(occurring))
+    return substitute(a, dict(zip(occurring, generators(sig))))
 
 
 def _context(args, sig: Signature):

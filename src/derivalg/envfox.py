@@ -36,7 +36,6 @@ from .freealg import (
     doubled_signature,
     format_linear,
     generator,
-    generator_degrees,
     is_canonical,
     normalize,
 )
@@ -214,7 +213,7 @@ def fox_derivatives(b: Element) -> tuple[EnvElement, ...]:
             (k,) = [
                 i
                 for i, ch in enumerate(cur.children)
-                if max(generator_degrees(ch), default=0) > n
+                if ch.content and ch.content[-1][0] > n
             ]
             others = cur.children[:k] + cur.children[k + 1 :]
             factors.append(

@@ -87,20 +87,22 @@ class Word:
     only by :func:`normalize`; every other operation expects canonical
     input.  ``key`` is a total-order sort key that also encodes the full
     tree, so key equality is structural equality, and words stay equal
-    across a ``cache_clear()``.  The generator content of a word (how
-    often each generator occurs) is invariant under canonicalization;
-    :func:`words_of_content` enumerates the canonical words of one
-    content.
+    across a ``cache_clear()``.  A word carries its generator ``content``,
+    the sorted ``(index, multiplicity)`` pairs of the generators in it
+    (invariant under canonicalization; :func:`words_of_content` enumerates
+    the canonical words of one content).  ``node`` sums the children's
+    contents and a word hashes its children's cached hashes: no tree walks.
     """
 
-    __slots__ = ("gen", "children", "length", "key", "_hash")
+    __slots__ = ("gen", "children", "length", "content", "key", "_hash")
 
-    def __init__(self, gen: int, children: tuple["Word", ...], length: int, key: tuple):
+    def __init__(self, gen, children, length, content, key):
         self.gen = gen
         self.children = children
         self.length = length
+        self.content = content
         self.key = key
-        self._hash = hash(key)
+        self._hash = hash((gen, length) + tuple(c._hash for c in children))
 
     @property
     def is_unit(self) -> bool:
@@ -145,7 +147,7 @@ class Word:
         return str(self)
 
 
-UNIT = Word(0, (), 0, (0, 0))
+UNIT = Word(0, (), 0, (), (0, 0))
 
 _key = attrgetter("key")
 
@@ -157,7 +159,7 @@ def generator(i: int) -> Word:
     """The generator leaf ``x_i`` (indices are 1-based)."""
     if i < 1:
         raise AlgebraError("generator indices are 1-based")
-    return Word(i, (), 1, (1, 0, i))
+    return Word(i, (), 1, ((i, 1),), (1, 0, i))
 
 
 def node(children: Iterable[Word]) -> Word:
@@ -165,9 +167,14 @@ def node(children: Iterable[Word]) -> Word:
     tup = tuple(children)
     w = _NODE_CACHE.get(tup)
     if w is None:
+        counts: dict[int, int] = {}
+        for c in tup:
+            for i, k in c.content:
+                counts[i] = counts.get(i, 0) + k
         length = sum(c.length for c in tup)
         key = (length, 1) + tuple(c.key for c in tup)
-        w = _NODE_CACHE[tup] = Word(_NODE, tup, length, key)
+        content = tuple(sorted(counts.items()))
+        w = _NODE_CACHE[tup] = Word(_NODE, tup, length, content, key)
     return w
 
 
@@ -541,12 +548,4 @@ def substitute(template: Element, images: Mapping[int, Element]) -> Element:
 
 def generator_degrees(w: Word) -> dict[int, int]:
     """Leaf multiplicities of a word: generator index -> occurrence count."""
-    counts: dict[int, int] = {}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        if u.is_generator:
-            counts[u.gen] = counts.get(u.gen, 0) + 1
-        elif u.is_node:
-            stack.extend(u.children)
-    return counts
+    return dict(w.content)

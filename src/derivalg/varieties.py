@@ -53,7 +53,6 @@ from .freealg import (
     contents,
     doubled_signature,
     generator,
-    generator_degrees,
     substitute,
     words_of_content,
 )
@@ -62,7 +61,7 @@ from .rowreduce import RowReducer
 
 def _content(w: Word, n: int) -> tuple[int, ...]:
     """Generator content of a word: the multiplicities of ``x1..xn``."""
-    degs = generator_degrees(w)
+    degs = dict(w.content)
     return tuple(degs.get(i, 0) for i in range(1, n + 1))
 
 
@@ -122,7 +121,7 @@ def _linear_substitution(
     expanded = substitute(ident.element, images)
     keep = []
     for w, c in expanded.terms:
-        degs = generator_degrees(w)
+        degs = dict(w.content)
         if all(degs.get(i, 0) == 1 for i in linear_in):
             keep.append((w, c))
     return Identity(Element(expanded.sig, keep))
@@ -507,6 +506,8 @@ def engel_index(
     by the first generator vanishes on every degree the truncation lets us
     test; ``None`` when every ``q`` up to the bound fails on a computed
     degree; ``UNKNOWN`` when the window admits no test at all."""
+    if bound < 1:
+        raise AlgebraError("bound must be positive")
     space = quotient_space(presentation, truncation)
     sig = space.sig
     x = Element.from_word(sig, generator(1))

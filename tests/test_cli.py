@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from derivalg import varieties
-from derivalg.cli import main
+from derivalg.cli import _parse_identity, main
 
 
 def run(capsys, *argv):
@@ -194,6 +194,33 @@ def test_engel(capsys):
     code, out, _ = run(capsys, "engel", "--identity", "(x1 (x1 (x1 x1)))")
     assert code == 0
     assert out == "3\n"
+
+
+def test_engel_bound_zero_exits_1(capsys):
+    code, out, err = run(capsys, "engel", "--bound", "0", "--identity", "(x1 (x1 x1))")
+    assert (code, out) == (1, "")
+    assert err == "error: bound must be positive\n"
+
+
+def test_identity_variables_are_renumbered():
+    a = _parse_identity("(x1 x7)", 2, True, False)
+    assert a.sig.num_generators == 2
+    assert str(a) == "(x2 x1)"
+
+
+def test_identity_gap_leaves_no_dummy_slot(capsys):
+    code, out, _ = run(
+        capsys,
+        "check-identity", "--builtin", "leibniz_der",
+        "--identity", "((x1 x3) x4) - ((x1 x4) x3)", "--range", "0..6",
+    )
+    assert (code, out) == (0, "FAIL at (f0, f1, f2): defect -f3\n")
+
+
+def test_identity_with_huge_variable_index(capsys):
+    # a dense signature of 7...7 generators could never be built
+    code, out, _ = run(capsys, "reduce", "--identity", f"(x1 x{'7' * 4000})", "x1")
+    assert (code, out) == (0, "x1\n")
 
 
 def test_structconst(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivalg.freealg import (
     UNIT,
@@ -30,6 +32,7 @@ S21 = Signature(2, True, False, 1)
 S22 = Signature(2, True, False, 2)
 S31 = Signature(3, True, False, 1)
 SU = Signature(2, True, True, 1)
+S24 = Signature(2, False, True, 2)
 
 
 def count_words(m, n, symmetric, unital, length):
@@ -138,6 +141,17 @@ def raw_trees(sig, leaves):
             yield node(kids)
 
 
+def leaf_count(w):
+    """Generator index -> number of leaves, counted on the tree itself."""
+    if w.is_generator:
+        return {w.gen: 1}
+    counts = {}
+    for c in w.children:
+        for i, k in leaf_count(c).items():
+            counts[i] = counts.get(i, 0) + k
+    return counts
+
+
 @pytest.mark.parametrize(
     "sig",
     [
@@ -162,6 +176,7 @@ def test_words_of_content_match_normalized_raw_trees(sig):
             words = words_of_content(sig, content)
             assert all(words[i] < words[i + 1] for i in range(len(words) - 1))
             for w in words:
+                assert w.content == tuple(sorted(leaf_count(w).items()))
                 degs = generator_degrees(w)
                 assert tuple(degs.get(i, 0) for i in range(1, n + 1)) == content
             got.update(words)
@@ -292,6 +307,28 @@ def test_generator_degrees():
     assert generator_degrees(w) == {1: 2, 2: 1}
     assert generator_degrees(x2) == {2: 1}
     assert generator_degrees(UNIT) == {}
+
+
+CONTENT_SIGS = [S21, S22, S24, S31, Signature(3, True, False, 2)]
+
+
+def raw_tree(sig):
+    leaves = [generator(i) for i in range(1, sig.num_generators + 1)]
+    leaves += [UNIT] if sig.unital else []
+    m = sig.arity
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.lists(kids, min_size=m, max_size=m).map(node),
+        max_leaves=16,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(CONTENT_SIGS))
+def test_word_content_counts_the_leaves(data, sig):
+    t = data.draw(raw_tree(sig))
+    assert t.content == tuple(sorted(leaf_count(t).items()))
+    assert normalize(sig, t).content == t.content
 
 
 def test_signature_validation():

@@ -1,5 +1,6 @@
-"""Hygiene of the package modules: every imported name is used, and
-every module-level private name is read by some package module."""
+"""Hygiene of the package modules: every imported name is used, every
+module-level private name is read by some package module, and words are
+built only in ``freealg``."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,30 @@ def test_dead_private_helper_is_reported():
         "b.py": "from .a import _LIMIT\n\ndef _used():\n    return _LIMIT\n\nx = _used()\n",
     }
     assert dead_private_names(sources) == ["a.py:_seen (line 2)", "a.py:_walk (line 4)"]
+
+
+def word_constructions(source: str) -> list[int]:
+    """Lines of the ``Word(...)`` calls in a module, bare or qualified."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "Word" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+NOT_FREEALG = [p for p in sorted(SRC.glob("*.py")) if p.name != "freealg.py"]
+
+
+@pytest.mark.parametrize("path", NOT_FREEALG, ids=lambda p: p.name)
+def test_words_are_built_only_in_freealg(path):
+    # a word's content and hash are right only if generator, UNIT or node made it
+    assert word_constructions(path.read_text()) == []
+
+
+def test_word_construction_is_reported():
+    source = (
+        "from . import freealg\nfrom .freealg import Word\n\n"
+        "a = Word(0, (), 0, (), (0, 0))\nb = freealg.Word(1)\nc = isinstance(a, Word)\n"
+    )
+    assert word_constructions(source) == [4, 5]
