@@ -24,16 +24,17 @@ nilpotency probes report as :data:`~derivalg.freealg.UNKNOWN`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import attrgetter
 from typing import Iterable
 
 from .freealg import (
-    UNKNOWN,
     AlgebraError,
     Element,
     Signature,
-    TruncationError,
     Word,
     bracket_words,
+    first_vanishing,
     format_linear,
     generator,
 )
@@ -153,6 +154,14 @@ def euler_derivation(sig: Signature, context=None) -> Derivation:
 
 def apply(d: Derivation, a: Element) -> Element:
     """Apply a derivation to an element by the Leibniz rule."""
+    out = _leibniz(d, a)
+    if d.context is not None:
+        out = d.context.reduce(out)
+    return out
+
+
+def _leibniz(d: Derivation, a: Element) -> Element:
+    """``d(a)`` by the Leibniz rule, not reduced in the context."""
     if a.sig != d.sig:
         raise AlgebraError("element signature mismatch")
     sig = d.sig
@@ -175,16 +184,14 @@ def apply(d: Derivation, a: Element) -> Element:
             cache[w] = got
         return got
 
-    out = Element(sig, [(u, c * k) for w, c in a.terms for u, k in der(w).terms])
-    if d.context is not None:
-        out = d.context.reduce(out)
-    return out
+    return Element(sig, [(u, c * k) for w, c in a.terms for u, k in der(w).terms])
 
 
 def lsym_mul(u: Derivation, v: Derivation) -> Derivation:
     """The left-symmetric product: coordinates of ``v`` derived by ``u``."""
     u._compatible(v)
-    return Derivation(u.sig, [apply(u, f) for f in v.coords], u.context)
+    # the constructor reduces each coordinate in the context, once
+    return Derivation(u.sig, [_leibniz(u, f) for f in v.coords], u.context)
 
 
 def commutator(u: Derivation, v: Derivation) -> Derivation:
@@ -192,52 +199,36 @@ def commutator(u: Derivation, v: Derivation) -> Derivation:
     return lsym_mul(u, v) - lsym_mul(v, u)
 
 
+def _powers(d: Derivation, left: bool):
+    """``D, D^2, D^3, ...``: left-normed (``D . p``) or right-normed
+    (``p . D``), each made only when it is drawn."""
+    return accumulate(repeat(d), (lambda p, e: lsym_mul(e, p)) if left else lsym_mul)
+
+
 def left_power(d: Derivation, r: int) -> Derivation:
     """Left-normed power: ``D^1 = D``, ``D^(r+1) = D . D^r``."""
     if r < 1:
         raise AlgebraError("power exponent must be positive")
-    p = d
-    for _ in range(r - 1):
-        p = lsym_mul(d, p)
-    return p
+    return next(islice(_powers(d, left=True), r - 1, None))
 
 
 def right_power(d: Derivation, r: int) -> Derivation:
     """Right-normed power: ``D^[1] = D``, ``D^[r+1] = D^[r] . D``."""
     if r < 1:
         raise AlgebraError("power exponent must be positive")
-    p = d
-    for _ in range(r - 1):
-        p = lsym_mul(p, d)
-    return p
+    return next(islice(_powers(d, left=False), r - 1, None))
 
 
 def is_left_nilpotent(d: Derivation, bound: int = 10):
     """Least ``r <= bound`` with ``D^r = 0``; ``None`` if no such power
     exists within the bound; ``UNKNOWN`` if a context truncation cut the
     search short."""
-    return _nilpotency(d, bound, left=True)
+    return first_vanishing(_powers(d, left=True), bound, attrgetter("is_zero"))
 
 
 def is_right_nilpotent(d: Derivation, bound: int = 10):
     """Least ``r <= bound`` with ``D^[r] = 0``; see :func:`is_left_nilpotent`."""
-    return _nilpotency(d, bound, left=False)
-
-
-def _nilpotency(d: Derivation, bound: int, left: bool):
-    if bound < 1:
-        raise AlgebraError("bound must be positive")
-    p = d
-    if p.is_zero:
-        return 1
-    for r in range(2, bound + 1):
-        try:
-            p = lsym_mul(d, p) if left else lsym_mul(p, d)
-        except TruncationError:
-            return UNKNOWN
-        if p.is_zero:
-            return r
-    return None
+    return first_vanishing(_powers(d, left=False), bound, attrgetter("is_zero"))
 
 
 def grading_decompose(d: Derivation) -> dict[int, Derivation]:

@@ -21,19 +21,20 @@ drive the bounded nilpotency probe :func:`mat_is_nilpotent`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import matmul
 from typing import Sequence
 
 from .deriv import Derivation, apply
 from .freealg import (
-    UNKNOWN,
     AlgebraError,
     Element,
     LinearCombination,
     Signature,
-    TruncationError,
     Word,
     bracket_words,
     doubled_signature,
+    first_vanishing,
     format_linear,
     generator,
     is_canonical,
@@ -311,7 +312,7 @@ def jacobian(F) -> JacobianMatrix:
 def _act(u: EnvElement, a: Element, space) -> Element:
     """Apply ``u`` to ``a`` by bracket insertion, reducing stepwise in
     ``space`` when one is given (so truncation overflow surfaces as
-    :class:`TruncationError` rather than silent growth)."""
+    :class:`~derivalg.freealg.TruncationError` rather than silent growth)."""
     sig = a.sig
     if space is not None:
         a = space.reduce(a)
@@ -324,9 +325,8 @@ def _act(u: EnvElement, a: Element, space) -> Element:
                 cur = space.reduce(cur)
             if cur.is_zero:
                 break
+        # every cur is a normal form (the empty product keeps the reduced a)
         out = out + c * cur
-    if space is not None:
-        out = space.reduce(out)
     return out
 
 
@@ -365,15 +365,8 @@ def mat_is_nilpotent(J: JacobianMatrix, bound: int = 10, context=None):
     Returns ``None`` when no power within the bound vanishes and
     :data:`UNKNOWN` when a context truncation cuts the decision off.
     """
-    if bound < 1:
-        raise AlgebraError("bound must be positive")
-    power = J
-    try:
-        for k in range(1, bound + 1):
-            if all(env_is_zero(e, context) for row in power.entries for e in row):
-                return k
-            if k < bound:
-                power = power @ J
-    except TruncationError:
-        return UNKNOWN
-    return None
+    return first_vanishing(
+        accumulate(repeat(J), matmul),
+        bound,
+        lambda P: all(env_is_zero(e, context) for row in P.entries for e in row),
+    )

@@ -17,7 +17,7 @@ lexicographically by their children.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -49,6 +49,22 @@ class _Unknown:
 #: Sentinel returned by bounded searches that a truncation cut short:
 #: the property could neither be confirmed nor refuted inside the window.
 UNKNOWN = _Unknown()
+
+
+def first_vanishing(powers: Iterable, bound: int, vanishes: Callable[..., bool]):
+    """The loop under every bounded probe: the least ``k <= bound`` whose
+    ``k``-th item of ``powers`` passes ``vanishes``; ``None`` if none up to
+    the bound does; :data:`UNKNOWN` if making or testing one raises
+    :class:`TruncationError`.  No item past the answer or bound is made."""
+    if bound < 1:
+        raise AlgebraError("bound must be positive")
+    try:
+        for k, item in zip(range(1, bound + 1), powers):
+            if vanishes(item):
+                return k
+    except TruncationError:
+        return UNKNOWN
+    return None
 
 
 @dataclass(frozen=True)

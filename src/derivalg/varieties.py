@@ -38,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from typing import Sequence
 
 from .freealg import (
     UNIT,
-    UNKNOWN,
     AlgebraError,
     Element,
     Signature,
@@ -52,6 +52,7 @@ from .freealg import (
     bracket_words,
     contents,
     doubled_signature,
+    first_vanishing,
     generator,
     substitute,
     words_of_content,
@@ -505,19 +506,20 @@ def engel_index(
     """Least ``q <= bound`` such that the q-th power of left multiplication
     by the first generator vanishes on every degree the truncation lets us
     test; ``None`` when every ``q`` up to the bound fails on a computed
-    degree; ``UNKNOWN`` when the window admits no test at all."""
-    if bound < 1:
-        raise AlgebraError("bound must be positive")
-    space = quotient_space(presentation, truncation)
-    sig = space.sig
+    degree; ``UNKNOWN`` when the search reaches a ``q`` the window cannot test."""
+    sig = presentation.sig
     x = Element.from_word(sig, generator(1))
     step = sig.arity - 1
     m = sig.arity
-    for q in range(1, bound + 1):
+
+    def kills(q: int) -> bool:
+        # fetched here, so a bad bound is reported before a bad truncation
+        space = quotient_space(presentation, truncation)
         top = space.truncation - q * step
         if top < 1:
-            return UNKNOWN
-        vanished = True
+            raise TruncationError(
+                f"degree {1 + q * step} beyond truncation {space.truncation}"
+            )
         for d in range(1, top + 1):
             for w in space.basis(d):
                 e = Element.from_word(sig, w)
@@ -526,10 +528,7 @@ def engel_index(
                     if e.is_zero:
                         break
                 if not e.is_zero:
-                    vanished = False
-                    break
-            if not vanished:
-                break
-        if vanished:
-            return q
-    return None
+                    return False
+        return True
+
+    return first_vanishing(count(1), bound, kills)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from derivalg import deriv
 from derivalg.freealg import (
     AlgebraError,
     Element,
@@ -175,6 +176,48 @@ def test_nonnilpotent_reports_absent():
 
 def test_zero_derivation_nilpotency_index_one():
     assert is_left_nilpotent(Derivation.zero(S21), 3) == 1
+
+
+def _shift(k):
+    """``x1 d2 + ... + x(k-1) dk``: both nilpotency indices are ``k``."""
+    sig = Signature(2, True, False, k)
+    xs = generators(sig)
+    return Derivation(sig, [Element.zero(sig)] + list(xs[:-1]))
+
+
+@pytest.mark.parametrize("probe", [is_left_nilpotent, is_right_nilpotent])
+@pytest.mark.parametrize("k, bound", [(1, 6), (2, 6), (3, 6), (4, 6), (3, 2), (4, 1)])
+def test_nilpotency_probe_makes_no_power_past_answer_or_bound(
+    monkeypatch, probe, k, bound
+):
+    # D^1..D^r cost r - 1 products, r the answer or the bound
+    calls = []
+    product = deriv.lsym_mul
+    monkeypatch.setattr(
+        deriv, "lsym_mul", lambda u, v: calls.append(1) or product(u, v)
+    )
+    expected = k if k <= bound else None
+    assert probe(_shift(k), bound) == expected
+    assert len(calls) == (k if expected else bound) - 1
+
+
+@pytest.mark.parametrize("sig", [S21, S22], ids=["S21", "S22"])
+def test_nilpotency_probes_agree_with_the_powers(sig, rng):
+    # each probe answers the least r with a zero power, or None up to the bound
+    seen = set()
+    for _ in range(30):
+        d = Derivation(sig, [
+            random_element(sig, rng, max_length=2) if rng.random() < 0.6
+            else Element.zero(sig)
+            for _ in range(sig.num_generators)
+        ])
+        for probe, power in (
+            (is_left_nilpotent, left_power), (is_right_nilpotent, right_power)
+        ):
+            least = next((r for r in range(1, 5) if power(d, r).is_zero), None)
+            assert probe(d, 4) == least
+            seen.add(least is None)
+    assert seen == {True, False}
 
 
 def test_left_and_right_powers_differ(rng):

@@ -375,6 +375,31 @@ def test_nilpotency_absent_in_the_free_algebra():
     assert mat_is_nilpotent(jacobian((x * x,)), 6) is None
 
 
+@pytest.fixture
+def matmuls(monkeypatch):
+    """A list that grows by one item per matrix product."""
+    calls = []
+    product = JacobianMatrix.__matmul__
+    monkeypatch.setattr(
+        JacobianMatrix, "__matmul__", lambda a, b: calls.append(1) or product(a, b)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("bound", [1, 2, 6])
+def test_nilpotency_probe_makes_no_power_past_the_bound(matmuls, bound):
+    # J^1..J^bound cost bound - 1 products, and J^(bound + 1) is never made
+    x = _x()
+    assert mat_is_nilpotent(jacobian((x * x,)), bound) is None
+    assert len(matmuls) == bound - 1
+
+
+def test_nilpotency_probe_makes_no_power_past_the_answer(matmuls):
+    x1, x2 = generators(S22)
+    assert mat_is_nilpotent(jacobian((x2 * x2, Element.zero(S22))), 6) == 2
+    assert len(matmuls) == 1
+
+
 def test_nilpotency_probe_hits_truncation():
     x = _x()
     out = mat_is_nilpotent(jacobian((x * x,)), 8, binary_nilpotent_context())

@@ -1,6 +1,7 @@
 """Hygiene of the package modules: every imported name is used, every
-module-level private name is read by some package module, and words are
-built only in ``freealg``."""
+module-level private name is read by some package module, words are
+built only in ``freealg``, and only ``freealg.first_vanishing`` turns a
+truncation into ``UNKNOWN``."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,54 @@ def test_word_construction_is_reported():
         "a = Word(0, (), 0, (), (0, 0))\nb = freealg.Word(1)\nc = isinstance(a, Word)\n"
     )
     assert word_constructions(source) == [4, 5]
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name in an expression, bare or as an attribute."""
+    return {
+        getattr(n, "id", None) or getattr(n, "attr", None)
+        for n in ast.walk(node)
+    } - {None}
+
+
+def unknown_verdicts(source: str, exempt: str | None = None) -> list[int]:
+    """Lines that catch ``TruncationError`` or return ``UNKNOWN``, outside
+    the top-level function named ``exempt``."""
+    lines = []
+    for stmt in ast.parse(source).body:
+        if getattr(stmt, "name", None) == exempt:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = "TruncationError" in _names(node.type)
+            elif isinstance(node, ast.Return) and node.value is not None:
+                caught = "UNKNOWN" in _names(node.value)
+            else:
+                continue
+            if caught:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_first_vanishing_decides_unknown(path):
+    # every bounded probe gets its truncation rule from one loop
+    exempt = "first_vanishing" if path.name == "freealg.py" else None
+    assert unknown_verdicts(path.read_text(), exempt) == []
+
+
+def test_first_vanishing_holds_the_unknown_rule():
+    assert len(unknown_verdicts((SRC / "freealg.py").read_text())) == 2
+
+
+def test_unknown_verdict_is_reported():
+    source = (
+        "from . import freealg\nfrom .freealg import UNKNOWN\n\n"
+        "def probe(step):\n    try:\n        step()\n"
+        "    except (ValueError, freealg.TruncationError):\n        return None\n"
+        "    return freealg.UNKNOWN if step else 0\n\n"
+        "def show(out):\n    if out is UNKNOWN:\n        return 'unknown'\n\n"
+        "def first_vanishing():\n    return UNKNOWN\n"
+    )
+    assert unknown_verdicts(source) == [7, 9, 16]
+    assert unknown_verdicts(source, "first_vanishing") == [7, 9]

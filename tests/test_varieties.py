@@ -289,6 +289,12 @@ def test_engel_index_unknown_when_window_too_small():
     assert engel_index(free, 5, truncation=3) is UNKNOWN
 
 
+def test_engel_index_checks_the_bound_before_the_truncation():
+    free = VarietyPresentation(S21, ())
+    with pytest.raises(AlgebraError, match="bound must be positive"):
+        engel_index(free, 0, truncation=0)
+
+
 def test_quotient_space_shared_and_hashable():
     a = quotient_space(binary_nilpotent())
     b = quotient_space(binary_nilpotent())
