@@ -153,11 +153,21 @@ class Word:
         return self.key >= other.key
 
     def __str__(self) -> str:
-        if self.is_unit:
-            return "1"
-        if self.is_generator:
-            return f"x{self.gen}"
-        return "(" + " ".join(str(c) for c in self.children) + ")"
+        # words and literal pieces on one stack, so that words of any depth print
+        out = []
+        stack: list = [self]
+        while stack:
+            w = stack.pop()
+            if isinstance(w, str):
+                out.append(w)
+            elif w.children:
+                stack.append(")")
+                for c in reversed(w.children):
+                    stack += (c, " ")
+                stack[-1] = "("
+            else:
+                out.append(f"x{w.gen}" if w.is_generator else "1")
+        return "".join(out)
 
     def __repr__(self) -> str:
         return str(self)

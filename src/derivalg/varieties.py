@@ -25,20 +25,23 @@ enumerator, :func:`~derivalg.freealg.words_of_content`.
 
 Each block is row-reduced exactly with pivots on the *smallest* words, so
 normal forms are spanned by the later (larger) words of each degree and
-rewrite signs match hand computation.  A :class:`QuotientSpace` keeps the
-content blocks up to its truncation degree and builds a block only when
-it is first needed: ``reduce`` builds the blocks its argument touches,
-``basis`` and ``dimension`` every block of their degree.  It provides
-normal forms, bases, dimensions, left-multiplication operator matrices
-and a bounded Engel probe.
+rewrite signs match hand computation.  A block depends on the
+presentation and the content only, so the ``functools.cache`` memo
+:func:`_block` is the one block store, shared by every truncation
+window; it builds a block when it is first needed.  A
+:class:`QuotientSpace` is an immutable ``(presentation, truncation)``
+value whose truncation only gates which blocks it may read: ``reduce``
+reads the blocks its argument touches, ``basis`` and ``dimension`` every
+block of their degree.  It provides normal forms, bases, dimensions,
+left-multiplication operator matrices and a bounded Engel probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import count, product
 from typing import Sequence
 
 from .freealg import (
@@ -73,7 +76,7 @@ class Identity:
     the variables; every term must have the same multidegree.
     """
 
-    __slots__ = ("element", "multidegree")
+    __slots__ = ("element", "multidegree", "_hash")
 
     def __init__(self, element: Element):
         if element.is_zero:
@@ -88,6 +91,7 @@ class Identity:
                 raise AlgebraError("identity is not multihomogeneous")
         self.element = element
         self.multidegree = counts
+        self._hash = hash(element)
 
     @property
     def degree(self) -> int:
@@ -105,7 +109,7 @@ class Identity:
         return isinstance(other, Identity) and self.element == other.element
 
     def __hash__(self) -> int:
-        return hash(self.element)
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.element)
@@ -215,57 +219,61 @@ def _word_subst(sig: Signature, w: Word, images: dict[int, Word]) -> Word:
     return bracket_words(sig, [_word_subst(sig, c, images) for c in w.children])
 
 
+def _distinct(rows) -> list[dict[Word, Fraction]]:
+    """The distinct nonzero vectors among ``rows``, in first-seen order;
+    each row comes as ``(word, coefficient)`` pairs, summed by word."""
+    out: dict[frozenset, dict[Word, Fraction]] = {}
+    for pairs in rows:
+        row: dict[Word, Fraction] = {}
+        for w, c in pairs:
+            row[w] = row.get(w, 0) + c
+        row = {w: c for w, c in row.items() if c}
+        if row:
+            out.setdefault(frozenset(row.items()), row)
+    return list(out.values())
+
+
 def _with_content(pools, budget):
     """The word tuples of the product of ``pools`` whose contents add up
     to ``budget``, in product order; ``pools`` hold ``(word, content)``
-    pairs, and a ``budget`` of ``None`` keeps every tuple."""
+    pairs."""
     if not pools:
-        if budget is None or not any(budget):
+        if not any(budget):
             yield ()
         return
     for w, c in pools[0]:
-        left = None if budget is None else tuple(b - x for b, x in zip(budget, c))
-        if left is None or min(left) >= 0:
+        left = tuple(b - x for b, x in zip(budget, c))
+        if min(left) >= 0:
             for rest in _with_content(pools[1:], left):
                 yield (w,) + rest
 
 
 @cache
 def _instances(
-    sig: Signature, ident: Identity, total: int, content: tuple[int, ...] | None = None
+    sig: Signature, ident: Identity, content: tuple[int, ...]
 ) -> list[dict[Word, Fraction]]:
     """Distinct substitution instances of a multilinear identity whose
-    word arguments have lengths summing to ``total`` (and, when given,
-    generator contents summing to ``content``)."""
+    word arguments have generator contents summing to ``content``."""
     variables = ident.variables()
     k = len(variables)
-    bound = (total,) * sig.num_generators if content is None else content
-    # words of each length inside the bound, in word order
+    total = sum(content)
+    # words of each length inside the content, in word order
     pools = {
         l: sorted(
-            ((w, c) for c in contents(l, bound) for w in words_of_content(sig, c)),
+            ((w, c) for c in contents(l, content) for w in words_of_content(sig, c)),
             key=lambda t: t[0].key,
         )
         for l in range(1, total - k + 2)
     }
-    out: list[dict[Word, Fraction]] = []
-    seen: set[frozenset] = set()
     # the argument lengths: compositions of ``total`` into ``k`` positive parts
-    for parts in contents(total - k, (total - k,) * k):
-        for combo in _with_content([pools[p + 1] for p in parts], content):
-            images = dict(zip(variables, combo))
-            inst: dict[Word, Fraction] = {}
-            for w, c in ident.element.terms:
-                nw = _word_subst(sig, w, images)
-                inst[nw] = inst.get(nw, 0) + c
-            inst = {w: c for w, c in inst.items() if c}
-            if not inst:
-                continue
-            fs = frozenset(inst.items())
-            if fs not in seen:
-                seen.add(fs)
-                out.append(inst)
-    return out
+    images = (
+        dict(zip(variables, combo))
+        for parts in contents(total - k, (total - k,) * k)
+        for combo in _with_content([pools[p + 1] for p in parts], content)
+    )
+    return _distinct(
+        [(_word_subst(sig, w, im), c) for w, c in ident.element.terms] for im in images
+    )
 
 
 def one_hole_contexts(sig: Signature, content: tuple[int, ...]) -> tuple[Word, ...]:
@@ -281,21 +289,23 @@ def _multilinearized(presentation: VarietyPresentation) -> tuple[Identity, ...]:
 
 
 def _context_pairs(sig, ident, degree, total, content):
-    """``(context, instances)`` pairs that fill to degree ``degree``,
+    """``(context, instance)`` pairs that fill to degree ``degree``,
     grouped by context content; with a ``content``, each context meets
     the instances of the complementary content, so only rows of that
-    content arise."""
+    content arise; without one, it meets the instances of every content
+    of length ``total``."""
     outer = degree - total
-    bound = (outer,) * sig.num_generators if content is None else content
+    n = sig.num_generators
+    bound = (outer,) * n if content is None else content
     for ctx_content in contents(outer, bound):
         contexts = one_hole_contexts(sig, ctx_content)
         if contexts:
-            rest = None
-            if content is not None:
-                rest = tuple(a - b for a, b in zip(content, ctx_content))
-            instances = _instances(sig, ident, total, rest)
-            for ctx in contexts:
-                yield ctx, instances
+            if content is None:
+                rests = contents(total, (total,) * n)
+            else:
+                rests = [tuple(a - b for a, b in zip(content, ctx_content))]
+            instances = [i for rest in rests for i in _instances(sig, ident, rest)]
+            yield from product(contexts, instances)
 
 
 def relation_rows(
@@ -312,91 +322,72 @@ def relation_rows(
     """
     sig = presentation.sig
     marker = sig.num_generators + 1
-    out: list[dict[Word, Fraction]] = []
-    seen: set[frozenset] = set()
-    for ident in _multilinearized(presentation):
-        k = len(ident.variables())
-        for total in range(k, degree + 1):
-            for ctx, instances in _context_pairs(sig, ident, degree, total, content):
-                for inst in instances:
-                    row: dict[Word, Fraction] = {}
-                    for w, c in inst.items():
-                        filled = _word_subst(sig, ctx, {marker: w})
-                        row[filled] = row.get(filled, 0) + c
-                    row = {w: c for w, c in row.items() if c}
-                    if not row:
-                        continue
-                    fs = frozenset(row.items())
-                    if fs not in seen:
-                        seen.add(fs)
-                        out.append(row)
-    return out
+    pairs = (
+        pair
+        for ident in _multilinearized(presentation)
+        for total in range(len(ident.variables()), degree + 1)
+        for pair in _context_pairs(sig, ident, degree, total, content)
+    )
+    return _distinct(
+        [(_word_subst(sig, ctx, {marker: w}), c) for w, c in inst.items()]
+        for ctx, inst in pairs
+    )
 
 
+@cache
+def _block(presentation: VarietyPresentation, content: tuple[int, ...]):
+    """The words, column index and row reducer of one content block,
+    built on first use from the relation rows of that content alone: the
+    one block store, read by every truncation window of the presentation."""
+    words = words_of_content(presentation.sig, content)
+    index = {w: j for j, w in enumerate(words)}
+    reducer = RowReducer()
+    for row in relation_rows(presentation, sum(content), content):
+        reducer.add({index[w]: c for w, c in row.items()})
+    return words, index, reducer
+
+
+@dataclass(frozen=True)
 class QuotientSpace:
     """Degreewise normal forms modulo the T-ideal, up to a truncation.
 
-    Create through :func:`quotient_space`, which caches instances, so
-    contexts are shared across derivations and envelope computations.
+    A value: equal presentations and truncations give equal spaces, and
+    all of them read their blocks from the shared :func:`_block` store.
+    The truncation gates that store: no block past it is read, even one
+    a wider window has built.
     """
 
-    def __init__(self, presentation: VarietyPresentation, truncation: int | None = None):
-        self.presentation = presentation
-        self.sig = presentation.sig
-        self.truncation = (
-            default_truncation(presentation.sig) if truncation is None else truncation
-        )
+    presentation: VarietyPresentation
+    truncation: int | None = None
+    sig: Signature = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sig", self.presentation.sig)
+        if self.truncation is None:
+            object.__setattr__(self, "truncation", default_truncation(self.sig))
         if self.truncation < 1:
             raise AlgebraError("truncation must be positive")
-        # content -> (words, column index, row reducer) of one block
-        self._blocks: dict[tuple[int, ...], tuple] = {}
-        self._bases: dict[int, tuple[Word, ...]] = {}
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QuotientSpace)
-            and self.presentation == other.presentation
-            and self.truncation == other.truncation
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.presentation, self.truncation))
-
-    def _block(self, content: tuple[int, ...]):
-        """The words, column index and row reducer of one content block,
-        built on first use from the relation rows of that content alone."""
-        block = self._blocks.get(content)
-        if block is None:
-            degree = sum(content)
-            if degree > self.truncation:
-                raise TruncationError(
-                    f"degree {degree} beyond truncation {self.truncation}"
-                )
-            words = words_of_content(self.sig, content)
-            index = {w: j for j, w in enumerate(words)}
-            reducer = RowReducer()
-            for row in relation_rows(self.presentation, degree, content):
-                reducer.add({index[w]: c for w, c in row.items()})
-            block = self._blocks[content] = (words, index, reducer)
-        return block
+    def _admit(self, degree: int) -> None:
+        """Raise :class:`TruncationError` for a degree past the window."""
+        if degree > self.truncation:
+            raise TruncationError(f"degree {degree} beyond truncation {self.truncation}")
 
     def dimension(self, degree: int) -> int:
         return len(self.basis(degree))
 
     def basis(self, degree: int) -> tuple[Word, ...]:
-        """Normal-form words at one degree (non-pivot words, increasing);
-        builds every content block of the degree."""
+        """Normal-form words at one degree (non-pivot words, increasing),
+        merged from every content block of the degree."""
         if degree == 0:
             return (UNIT,) if self.sig.unital else ()
-        got = self._bases.get(degree)
-        if got is None:
-            free: list[Word] = []
-            for content in contents(degree, (degree,) * self.sig.num_generators):
-                words, _, reducer = self._block(content)
-                pivots = set(reducer.pivot_columns())
-                free.extend(w for j, w in enumerate(words) if j not in pivots)
-            got = self._bases[degree] = tuple(sorted(free))
-        return got
+        self._admit(degree)
+        free: list[Word] = []
+        for content in contents(degree, (degree,) * self.sig.num_generators):
+            words, _, reducer = _block(self.presentation, content)
+            pivots = set(reducer.pivot_columns())
+            free.extend(w for j, w in enumerate(words) if j not in pivots)
+        return tuple(sorted(free))
 
     def reduce(self, a: Element) -> Element:
         """Normal form of an element; raises
@@ -414,7 +405,8 @@ class QuotientSpace:
                 # no relations reach the unit's degree
                 out.extend(terms)
                 continue
-            words, index, reducer = self._block(content)
+            self._admit(sum(content))
+            words, index, reducer = _block(self.presentation, content)
             row = {index[w]: c for w, c in terms}
             out.extend((words[j], v) for j, v in reducer.reduce(row).items())
         return Element(self.sig, out)
@@ -436,9 +428,9 @@ def quotient_space(
 ) -> QuotientSpace:
     """Shared quotient context for a presentation.
 
-    A ``functools.cache`` memo: one instance, with every content block and
-    basis it has built, serves all callers until
-    ``quotient_space.cache_clear()``.
+    A ``functools.cache`` memo: one instance serves all callers until
+    ``quotient_space.cache_clear()``.  Its blocks live in the
+    :func:`_block` store, which every window of the presentation shares.
     """
     return QuotientSpace(presentation, truncation)
 
@@ -515,12 +507,8 @@ def engel_index(
     def kills(q: int) -> bool:
         # fetched here, so a bad bound is reported before a bad truncation
         space = quotient_space(presentation, truncation)
-        top = space.truncation - q * step
-        if top < 1:
-            raise TruncationError(
-                f"degree {1 + q * step} beyond truncation {space.truncation}"
-            )
-        for d in range(1, top + 1):
+        space._admit(1 + q * step)
+        for d in range(1, space.truncation - q * step + 1):
             for w in space.basis(d):
                 e = Element.from_word(sig, w)
                 for _ in range(q):

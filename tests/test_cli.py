@@ -138,9 +138,9 @@ def test_jacobian_probe_builds_only_partner_linear_blocks(capsys, monkeypatch):
         return rows
 
     monkeypatch.setattr(varieties, "relation_rows", counted_rows)
-    # a cache of its own, so that no block of the doubled quotient is built yet
+    # a block store of its own, so that no block of the doubled quotient is built yet
     monkeypatch.setattr(
-        varieties, "quotient_space", lru_cache(maxsize=None)(varieties.QuotientSpace)
+        varieties, "_block", lru_cache(maxsize=None)(varieties._block.__wrapped__)
     )
     code, out, _ = run(
         capsys,

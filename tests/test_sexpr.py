@@ -185,6 +185,17 @@ def test_words_of_any_depth_parse(sig, side):
     assert parse_element(f"2*{text} - x1", sig).coeff(want) == 2
 
 
+def test_words_of_any_depth_print():
+    depth = 5000
+    x = generator(1)
+    comb = x
+    for _ in range(depth):
+        comb = bracket_words(S24, [comb, x])
+    text = str(comb)
+    assert text == "(" * depth + "x1" + " x1)" * depth
+    assert parse_word(text, S24) is comb
+
+
 PIECES = "x1 x2 x3 1 0 2 3/2 * + - ( ) [ ] , d1 d2 D e e2 e-1 x ^ f1 / -1 x0 ?"
 PIECE = st.sampled_from(PIECES.split() + [" "])
 # signed terms with a coefficient in front of one to three pieces

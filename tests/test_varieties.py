@@ -1,10 +1,12 @@
 import importlib
 import pkgutil
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import derivalg
+from derivalg import varieties
 from derivalg.deriv import Derivation
 from derivalg.envfox import jacobian, mat_is_nilpotent
 from derivalg.freealg import (
@@ -335,6 +337,7 @@ def test_clearing_every_memo_rebuilds_identical_results():
         "freealg.enumerate_reduced",
         "varieties._instances",
         "varieties._multilinearized",
+        "varieties._block",
         "varieties.quotient_space",
         "structconst.builtin",
         "genpos.certificate",
@@ -439,3 +442,58 @@ def test_relation_rows_of_one_content_filter_all_rows():
         for content in {c for (c,) in contents}:
             want = [row for row, (c,) in zip(rows, contents) if c == content]
             assert relation_rows(presentation, degree, content) == want
+
+
+def fresh_block_store(monkeypatch):
+    """Swap in an empty block store, so that this test builds every block."""
+    store = lru_cache(maxsize=None)(varieties._block.__wrapped__)
+    monkeypatch.setattr(varieties, "_block", store)
+
+
+def test_windows_share_one_block_store(monkeypatch, rng):
+    """A block depends on the presentation and the content only: after
+    window 8 has built its blocks, window 10 reduces elements of degree at
+    most 8 without asking for a relation row, and gets what a cold store
+    gives."""
+    presentation = BLOCK_CASES["binary_doubled"]()[0]
+    elements = [
+        random_element(presentation.sig, rng, max_length=8, terms=4) for _ in range(20)
+    ]
+    requests = []
+    relation_rows = varieties.relation_rows
+
+    def counted_rows(*args):
+        requests.append(args)
+        return relation_rows(*args)
+
+    monkeypatch.setattr(varieties, "relation_rows", counted_rows)
+    fresh_block_store(monkeypatch)
+    narrow = [quotient_space(presentation, 8).reduce(a) for a in elements]
+    assert requests
+    requests.clear()
+    wide = [quotient_space(presentation, 10).reduce(a) for a in elements]
+    assert requests == []
+    fresh_block_store(monkeypatch)
+    assert [quotient_space(presentation, 10).reduce(a) for a in elements] == wide
+    assert requests
+    assert wide == narrow
+
+
+def test_window_gates_blocks_a_wider_window_built():
+    """A block built through a wider window never answers for a narrower
+    one, so no verdict of a narrow window turns from unknown into an index."""
+    presentation = binary_nilpotent()
+    J = jacobian(Derivation(S21, [_x() * _x()]))
+    verdicts = [
+        mat_is_nilpotent(J, 12, quotient_space(presentation, t)) for t in (11, 10, 9, 8)
+    ]
+    assert verdicts == [10, UNKNOWN, UNKNOWN, UNKNOWN]
+
+    sextic = _x() * (_x() * (_x() * (_x() * (_x() * _x()))))
+    # window 11 reads the degree-6 block, so it exists from here on
+    assert QuotientSpace(presentation, 11).reduce(sextic).is_zero
+    narrow = QuotientSpace(presentation, 5)
+    with pytest.raises(TruncationError, match="^degree 6 beyond truncation 5$"):
+        narrow.reduce(sextic)
+    with pytest.raises(TruncationError, match="^degree 6 beyond truncation 5$"):
+        narrow.basis(6)
