@@ -14,7 +14,9 @@ is asserted at runtime instead of trusted.
 ``D`` and ``E`` (``E`` is the Euler derivation ``x dx``), checked by
 evaluation before it is handed out.  :func:`span_check` confirms the
 generation claim degree by degree, closing the seeds under the product
-and comparing dimensions against the count of reduced words.
+and comparing dimensions against the count of reduced words.  A degree
+that reaches full rank is carried forward as its word basis ``w dx``,
+so the products above it are of sparse monomials with integer scalars.
 """
 
 from __future__ import annotations
@@ -212,7 +214,10 @@ def span_check(
     sig: Signature, max_degree: int, seeds: Iterable[Derivation] | None = None
 ) -> SpanReport:
     """Close the seeds (default ``E`` and ``D``) under the product and
-    compare each degree with the full space of derivations."""
+    compare each degree with the full space of derivations.  Degree s
+    is spanned by the products of degrees a and s - a, so it depends only
+    on the spans below it: a full-rank degree is carried forward as the
+    words ``w dx``, and a degree with a gap keeps its kept products."""
     _validate_signature(sig)
     if max_degree < 0:
         raise AlgebraError("max_degree must be non-negative")
@@ -243,6 +248,8 @@ def span_check(
                 break  # full rank: every later candidate is dependent
             if not d.is_zero and red.add(_vector(d.coords[0], index)):
                 kept.append(d)
+        if red.rank == len(words):  # the closure is every w dx: carry words on
+            kept = [Derivation(sig, [Element.from_word(sig, w)]) for w in words]
         basis[s] = kept
         rows.append((s, len(kept), len(words)))
     return SpanReport(sig, max_degree, tuple(rows))

@@ -181,6 +181,15 @@ def test_generate_span(capsys):
     jsonschema.validate(doc, schema())
 
 
+def test_generate_span_degree_10(capsys):
+    code, out, _ = run(capsys, "generate", "--span", "10")
+    assert code == 0
+    counts = (1, 1, 1, 2, 3, 6, 11, 23, 46, 98, 207)
+    assert out == "".join(f"degree {s}: {n}/{n}\n" for s, n in enumerate(counts)) + (
+        "seeds generate up to degree 10\n"
+    )
+
+
 def test_reduce(capsys):
     code, out, _ = run(
         capsys,

@@ -1,8 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from derivalg.deriv import Derivation, apply, euler_derivation
+from derivalg import genpos
+from derivalg.deriv import (
+    Derivation,
+    apply,
+    euler_derivation,
+    grading_decompose,
+    lsym_mul,
+)
 from derivalg.freealg import (
     AlgebraError,
     Element,
@@ -10,6 +18,7 @@ from derivalg.freealg import (
     enumerate_reduced,
     generator,
     node,
+    words_of_content,
 )
 from derivalg.genpos import (
     Certificate,
@@ -19,6 +28,8 @@ from derivalg.genpos import (
     seed_derivation,
     span_check,
 )
+from derivalg.rowreduce import RowReducer
+from derivalg.sexpr import parse_derivation
 
 S21 = Signature(2, True, False, 1)
 S31 = Signature(3, True, False, 1)
@@ -164,3 +175,110 @@ def test_span_validation():
         span_check(Signature(2, True, False, 2), 3)
     with pytest.raises(AlgebraError):
         span_check(S21, 3, seeds=[euler_derivation(S31)])
+
+
+def _product_closure_rows(sig, max_degree, seeds):
+    """Reference closure that keeps the products themselves as the basis
+    of every degree, full or not, and multiplies them again higher up."""
+    by_degree = {}
+    for d in seeds:
+        for s, part in grading_decompose(d).items():
+            by_degree.setdefault(s, []).append(part)
+    basis, rows = {}, []
+    for s in range(max_degree + 1):
+        words = words_of_content(sig, (s + 1,))
+        index = {w: i for i, w in enumerate(words)}
+        red, kept = RowReducer(), []
+        products = (
+            lsym_mul(u, v)
+            for a in range(1, s)
+            for u in basis.get(a, ())
+            for v in basis.get(s - a, ())
+        )
+        for d in itertools.chain(by_degree.get(s, ()), products):
+            if red.rank == len(words):
+                break
+            vec = {index[w]: c for w, c in d.coords[0]}
+            if vec and red.add(vec):
+                kept.append(d)
+        basis[s] = kept
+        rows.append((s, len(kept), len(words)))
+    return tuple(rows)
+
+
+def _seeds(sig, *texts):
+    return [parse_derivation(t, sig) for t in texts]
+
+
+@pytest.mark.parametrize(
+    "sig, seeds, dims",
+    [
+        (S21, None, None),
+        (S21, [seed_derivation(S21)], None),
+        # a full degree 2 below the gap degrees 4, 6 and 8
+        (S21, _seeds(S21, "(x1 (x1 x1)) d1"), (0, 0, 1, 0, 1, 0, 2, 0, 4)),
+        (
+            S21,
+            _seeds(S21, "(x1 (x1 x1)) d1", "(x1 (x1 (x1 x1))) d1"),
+            (0, 0, 1, 1, 1, 2, 3, 5, 9),
+        ),
+        (S31, [seed_derivation(S31)], None),
+        (S31, None, None),
+    ],
+    ids=["S21", "S21-D", "S21-cubic", "S21-cubic-quartic", "S31-D", "S31"],
+)
+def test_span_matches_the_product_closure(sig, seeds, dims):
+    rep = span_check(sig, 8, seeds=seeds)
+    default = (euler_derivation(sig), seed_derivation(sig))
+    assert rep.rows == _product_closure_rows(sig, 8, seeds or default)
+    if dims is not None:
+        assert rep.dimensions() == dims
+
+
+def test_span_is_independent_of_the_seed_scales(monkeypatch):
+    calls = {"lsym_mul": 0, "add": 0}
+    operands = []
+    add = RowReducer.add
+
+    def counting_mul(u, v):
+        calls["lsym_mul"] += 1
+        operands.extend((u, v))
+        return lsym_mul(u, v)
+
+    def counting_add(self, row):
+        calls["add"] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(genpos, "lsym_mul", counting_mul)
+    monkeypatch.setattr(RowReducer, "add", counting_add)
+    e, d = euler_derivation(S21), seed_derivation(S21)
+    runs = []
+    for a, b in ((Fraction(1), Fraction(1)), (Fraction(-7, 3), Fraction(5, 11))):
+        calls.update(lsym_mul=0, add=0)
+        rep = span_check(S21, 8, seeds=[a * e, b * d])
+        runs.append((rep.rows, dict(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["lsym_mul"] > 0
+    # every degree is full, so only single words with coefficient 1 are
+    # ever multiplied, whatever the scales of the seeds
+    assert all([c for _, c in u.coords[0]] == [Fraction(1)] for u in operands)
+
+
+def _binary_word_counts(top):
+    """Words of each length in one symmetric binary generator: a word of
+    length n > 1 is an unordered pair of words of lengths i + j = n."""
+    t = [0, 1]
+    for n in range(2, top + 1):
+        total = 0
+        for i in range(1, n // 2 + 1):
+            j = n - i
+            total += t[i] * t[j] if i < j else t[i] * (t[i] + 1) // 2
+        t.append(total)
+    return t[1:]
+
+
+def test_span_binary_degree_10():
+    rep = span_check(S21, 10)
+    assert rep.dimensions() == tuple(_binary_word_counts(11))
+    assert rep.rows[-1] == (10, 207, 207)
+    assert rep.passed
