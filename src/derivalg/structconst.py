@@ -9,6 +9,15 @@ binomial rule, and the m-ary restriction of the Witt algebra — and
 checks multilinear identities against them exhaustively over finite
 index windows.  A check reports the window it covered and the first
 failing basis tuple in lexicographic order, never an unbounded claim.
+
+Every product goes through one kernel, ``_product``, on plain
+``{index: coefficient}`` dicts whose integral coefficients are ``int``;
+an ``IndexedElement`` turns them into ``Fraction`` once, when it is
+built from the kernel's result.  Two memos feed the kernel: the
+validated structure constants of a rule at ``(s, t)`` (``_constants``,
+so each rule is called once per index pair), and the post-order
+program of an identity word (``_program``), which ``evaluate`` walks
+on a stack, so words of any depth evaluate.
 """
 
 from __future__ import annotations
@@ -70,20 +79,15 @@ class IndexedAlgebra:
         return [i for i in range(lo, hi + 1) if self.contains(i)]
 
     def rule(self, s: int, t: int) -> tuple[tuple[Fraction, int], ...]:
-        for i in (s, t):
-            if not self.contains(i):
-                raise AlgebraError(f"index {i} outside {self.name}")
-        out = []
-        for c, i in self._rule(s, t):
-            c = Fraction(c)
-            if not c:
-                continue
-            if i != s + t:
-                raise AlgebraError(f"rule of {self.name} is not graded at ({s},{t})")
-            if not self.contains(i):
-                raise AlgebraError(f"rule of {self.name} leaves the index set")
-            out.append((c, i))
-        return tuple(out)
+        return tuple((Fraction(c), i) for c, i in self._terms(s, t))
+
+    def _terms(self, s: int, t: int) -> tuple[tuple, ...]:
+        """The kernel's view of ``rule(s, t)``: coefficients are ``int``
+        where integral."""
+        terms = _constants(self._rule, self.min_index, self.modulus, s, t)
+        if type(terms) is str:
+            raise AlgebraError(terms.format(self.name))
+        return terms
 
     def basis_name(self, i: int) -> str:
         if self.power_style:
@@ -110,6 +114,62 @@ class IndexedAlgebra:
         return f"IndexedAlgebra({self.name})"
 
 
+def _exact(c: Fraction):
+    """``c`` as an ``int`` when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+@cache
+def _constants(rule, min_index: int, modulus: int, s: int, t: int):
+    """The nonzero ``(coefficient, index)`` pairs of ``rule(s, t)``, in
+    the rule's order and checked against the index set ``min_index +
+    modulus * k``, or the message of the first fault, with ``{}`` for
+    the algebra's name.  Keyed on the rule callable and its index set,
+    not on an :class:`IndexedAlgebra`, whose equality compares names
+    only; so each rule is called once per index pair."""
+
+    def outside(i: int) -> bool:
+        return i < min_index or (i - min_index) % modulus != 0
+
+    for i in (s, t):
+        if outside(i):
+            return f"index {i} outside {{}}"
+    out = []
+    for c, i in rule(s, t):
+        c = Fraction(c)
+        if not c:
+            continue
+        if i != s + t:
+            return f"rule of {{}} is not graded at ({s},{t})"
+        if outside(i):
+            return "rule of {} leaves the index set"
+        out.append((_exact(c), i))
+    return tuple(out)
+
+
+def _product(alg: IndexedAlgebra, a: dict, b: dict) -> dict:
+    """The product of two ``{index: coefficient}`` combinations of
+    ``alg``: the one product kernel of the module."""
+    terms = alg._terms
+    out: dict = {}
+    for s, cs in a.items():
+        for t, ct in b.items():
+            for c, i in terms(s, t):
+                v = out.get(i, 0) + cs * ct * c
+                if v:
+                    out[i] = v
+                else:
+                    del out[i]
+    return out
+
+
+def _vector(alg: IndexedAlgebra, x: "IndexedElement") -> dict:
+    """The kernel's ``{index: coefficient}`` form of an element of ``alg``."""
+    if x.alg != alg:
+        raise AlgebraError(x._mismatch)
+    return {i: _exact(c) for i, c in x.terms}
+
+
 def _check_index(alg: IndexedAlgebra, i: int) -> int:
     if not alg.contains(i):
         raise AlgebraError(f"index {i} outside {alg.name}")
@@ -129,13 +189,10 @@ class IndexedElement(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, IndexedElement):
-            self._check(other)
-            return IndexedElement(self.alg, [
-                (i, cs * ct * c)
-                for s, cs in self.terms
-                for t, ct in other.terms
-                for c, i in self.alg.rule(s, t)
-            ])
+            alg = self.alg
+            return IndexedElement(
+                alg, _product(alg, _vector(alg, self), _vector(alg, other))
+            )
         return self.scale(other)
 
     def __str__(self) -> str:
@@ -197,11 +254,23 @@ class Counterexample:
         return f"fails at ({spot}): defect {self.defect}"
 
 
-def _eval_word(w: Word, images: Sequence[IndexedElement]) -> IndexedElement:
-    if w.is_generator:
-        return images[w.gen - 1]
-    a, b = w.children
-    return _eval_word(a, images) * _eval_word(b, images)
+@cache
+def _program(w: Word) -> tuple[int, ...]:
+    """``w`` in post order, built on an explicit stack: generator ``i``
+    is ``i`` (push its image), a bracket is ``0`` (multiply the top two
+    values)."""
+    out = []
+    stack = [w]
+    while stack:
+        u = stack.pop()
+        if u.is_generator:
+            out.append(u.gen)
+        else:
+            # the node before its children: reversed, the children come first
+            out.append(0)
+            stack.extend(u.children)
+    out.reverse()
+    return tuple(out)
 
 
 def evaluate(alg: IndexedAlgebra, elem: Element, images: Sequence[IndexedElement]) -> IndexedElement:
@@ -211,10 +280,27 @@ def evaluate(alg: IndexedAlgebra, elem: Element, images: Sequence[IndexedElement
         raise AlgebraError("indexed algebras evaluate plain binary elements")
     if len(images) < sig.num_generators:
         raise AlgebraError("not enough images")
-    total = IndexedElement(alg)
+    vectors: dict = {}
+    total: dict = {}
     for w, c in elem:
-        total = total + c * _eval_word(w, images)
-    return total
+        stack = []
+        for op in _program(w):
+            if op:
+                v = vectors.get(op)
+                if v is None:
+                    v = vectors[op] = _vector(alg, images[op - 1])
+                stack.append(v)
+            else:
+                b = stack.pop()
+                stack[-1] = _product(alg, stack[-1], b)
+        c = _exact(c)
+        for i, v in stack[0].items():
+            v = total.get(i, 0) + c * v
+            if v:
+                total[i] = v
+            else:
+                del total[i]
+    return IndexedElement(alg, total)
 
 
 def check_identity(alg: IndexedAlgebra, ident: Identity, lo: int, hi: int):
@@ -225,8 +311,9 @@ def check_identity(alg: IndexedAlgebra, ident: Identity, lo: int, hi: int):
     if not ident.is_multilinear:
         raise AlgebraError("basis checks need a multilinear identity")
     window = alg.indices(lo, hi)
+    images = {i: alg.basis(i) for i in window}
     for spot in itertools.product(window, repeat=len(ident.multidegree)):
-        defect = evaluate(alg, ident.element, [alg.basis(i) for i in spot])
+        defect = evaluate(alg, ident.element, [images[i] for i in spot])
         if not defect.is_zero:
             return Counterexample(spot, defect)
     return None

@@ -1,7 +1,7 @@
 """Hygiene of the package modules: every imported name is used, every
 module-level private name is read by some package module, words are
-built only in ``freealg``, and only ``freealg.first_vanishing`` turns a
-truncation into ``UNKNOWN``."""
+built only in ``freealg``, only ``freealg.first_vanishing`` turns a
+truncation into ``UNKNOWN``, and no function that calls itself is added."""
 
 import ast
 from pathlib import Path
@@ -182,3 +182,76 @@ def test_unknown_verdict_is_reported():
     )
     assert unknown_verdicts(source) == [7, 9, 16]
     assert unknown_verdicts(source, "first_vanishing") == [7, 9]
+
+
+def self_recursive_functions(source: str, module: str) -> list[str]:
+    """Dotted names of the functions that call themselves directly: by
+    their bare name, or as ``self.name``/``cls.name`` in a method.  A
+    call from a nested function counts for every enclosing function of
+    that name too."""
+    found = []
+
+    def calls_itself(fn) -> bool:
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if getattr(f, "id", None) == fn.name:
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == fn.name:
+                if getattr(f.value, "id", None) in ("self", "cls"):
+                    return True
+        return False
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if calls_itself(child):
+                    found.append(name)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+#: The functions that still call themselves, whose depth is bounded by
+#: the Python stack; the set may only shrink.
+RECURSIVE = {
+    "deriv._leibniz.der",
+    "freealg.contents",
+    "freealg.words_of_content",
+    "freealg.words_of_content.rec",
+    "freealg.substitute.ev",
+    "genpos._eval_expr",
+    "genpos._expr_str",
+    "genpos.Certificate.atoms.walk",
+    "genpos.certificate",
+    "varieties._word_subst",
+    "varieties._with_content",
+}
+
+
+def test_no_new_self_recursion():
+    found = {
+        name
+        for path in MODULES
+        for name in self_recursive_functions(path.read_text(), path.stem)
+    }
+    assert found <= RECURSIVE
+
+
+def test_self_recursion_is_reported():
+    source = (
+        "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n\n"
+        "def outer(w):\n    def walk(u):\n        return [walk(c) for c in u]\n"
+        "    return walk(w)\n\n"
+        "class Tree:\n    def depth(self):\n        return 1 + max(c.depth() for c in self.kids)\n\n"
+        "    def size(self):\n        return self.size() if self.kids else 1\n\n"
+        "    def __init__(self):\n        super().__init__()\n"
+    )
+    assert self_recursive_functions(source, "m") == ["m.fact", "m.outer.walk", "m.Tree.size"]

@@ -23,6 +23,7 @@ from derivalg.freealg import (
     node,
     substitute,
 )
+from derivalg.structconst import builtin, check_identity, named_identity
 from derivalg.varieties import (
     Identity,
     QuotientSpace,
@@ -318,9 +319,10 @@ def _memos():
 
 def test_clearing_every_memo_rebuilds_identical_results():
     """Every memo is a functools.cache: after ``cache_clear()`` on all of
-    them, fresh objects give the same doubled-quotient basis, normal form
-    and Jacobian probe verdict.  Words built before the clear stay equal
-    to words built after it, because word equality compares keys."""
+    them, fresh objects give the same doubled-quotient basis, normal form,
+    Jacobian probe verdict and indexed counterexample.  Words built before
+    the clear stay equal to words built after it, because word equality
+    compares keys."""
 
     def build():
         space = quotient_space(binary_nilpotent(), 8)
@@ -328,7 +330,8 @@ def test_clearing_every_memo_rebuilds_identical_results():
         x, y = generators(doubled.sig)
         nf = doubled.reduce(x * (x * (x * y)) - 2 * (y * x) * (x * x))
         verdict = mat_is_nilpotent(jacobian(Derivation(S21, [_x() * _x()])), 8, space)
-        return space, doubled.basis(6), nf, verdict
+        ce = check_identity(builtin("leibniz_der"), named_identity("novikov"), 0, 6)
+        return space, doubled.basis(6), nf, verdict, ce
 
     memos = _memos()
     assert set(memos) == {
@@ -340,19 +343,22 @@ def test_clearing_every_memo_rebuilds_identical_results():
         "varieties._block",
         "varieties.quotient_space",
         "structconst.builtin",
+        "structconst._constants",
+        "structconst._program",
         "genpos.certificate",
     }
-    space, basis, nf, verdict = build()
+    space, basis, nf, verdict, ce = build()
     x1 = generator(1)
     for memo in memos.values():
         memo.cache_clear()
         assert memo.cache_info().currsize == 0
-    again, basis2, nf2, verdict2 = build()
+    again, basis2, nf2, verdict2, ce2 = build()
     assert again is not space and generator(1) is not x1
     assert generator(1) == x1
     assert basis2 == basis and len(basis) > 0
     assert nf2 == nf and not nf.is_zero
     assert verdict2 is verdict is UNKNOWN
+    assert ce2 == ce and ce.indices == (0, 1, 2)
 
 
 def test_doubled_context_same_identities():
