@@ -570,8 +570,3 @@ def substitute(template: Element, images: Mapping[int, Element]) -> Element:
     return Element(
         target, [(u, c * k) for w, c in template.terms for u, k in ev(w).terms]
     )
-
-
-def generator_degrees(w: Word) -> dict[int, int]:
-    """Leaf multiplicities of a word: generator index -> occurrence count."""
-    return dict(w.content)

@@ -14,10 +14,11 @@ Every product goes through one kernel, ``_product``, on plain
 ``{index: coefficient}`` dicts whose integral coefficients are ``int``;
 an ``IndexedElement`` turns them into ``Fraction`` once, when it is
 built from the kernel's result.  Two memos feed the kernel: the
-validated structure constants of a rule at ``(s, t)`` (``_constants``,
-so each rule is called once per index pair), and the post-order
-program of an identity word (``_program``), which ``evaluate`` walks
-on a stack, so words of any depth evaluate.
+validated structure constants of an algebra at ``(s, t)``
+(``_constants``, keyed on the algebra value, so each rule is called
+once per index pair), and the post-order program of an identity word
+(``_program``), which ``evaluate`` walks on a stack, so words of any
+depth evaluate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Sequence
@@ -42,34 +43,33 @@ from .freealg import (
 from .varieties import Identity
 
 
+@dataclass(frozen=True)
 class IndexedAlgebra:
     """A graded algebra with basis ``symbol<i>`` over an integer index set.
 
     The index set is an arithmetic progression ``min_index, min_index +
     modulus, ...``; the product of basis vectors ``s, t`` is given by
-    ``rule(s, t)`` as a list of ``(coefficient, index)`` pairs, all
-    concentrated in index ``s + t``.
+    ``_rule(s, t)`` as a list of ``(coefficient, index)`` pairs, all
+    concentrated in index ``s + t``.  An algebra is a value: two compare
+    equal when their name, notation, rule and index set do.
     """
 
-    __slots__ = ("name", "symbol", "min_index", "modulus", "power_style", "_rule")
+    name: str
+    symbol: str
+    _rule: Callable[[int, int], Iterable[tuple]]
+    min_index: int
+    modulus: int = 1
+    power_style: bool = False
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    def __init__(
-        self,
-        name: str,
-        symbol: str,
-        rule: Callable[[int, int], Iterable[tuple]],
-        min_index: int,
-        modulus: int = 1,
-        power_style: bool = False,
-    ):
-        if modulus < 1:
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
             raise AlgebraError("index modulus must be positive")
-        self.name = name
-        self.symbol = symbol
-        self.min_index = min_index
-        self.modulus = modulus
-        self.power_style = power_style
-        self._rule = rule
+        # _constants hashes its algebra on every lookup: hash a few fields once
+        object.__setattr__(self, "_hash", hash((self.name, self._rule, self.min_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, i: int) -> bool:
         return i >= self.min_index and (i - self.min_index) % self.modulus == 0
@@ -79,15 +79,7 @@ class IndexedAlgebra:
         return [i for i in range(lo, hi + 1) if self.contains(i)]
 
     def rule(self, s: int, t: int) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((Fraction(c), i) for c, i in self._terms(s, t))
-
-    def _terms(self, s: int, t: int) -> tuple[tuple, ...]:
-        """The kernel's view of ``rule(s, t)``: coefficients are ``int``
-        where integral."""
-        terms = _constants(self._rule, self.min_index, self.modulus, s, t)
-        if type(terms) is str:
-            raise AlgebraError(terms.format(self.name))
-        return terms
+        return tuple((Fraction(c), i) for c, i in _constants(self, s, t))
 
     def basis_name(self, i: int) -> str:
         if self.power_style:
@@ -95,23 +87,10 @@ class IndexedAlgebra:
         return f"{self.symbol}{i}"
 
     def basis(self, i: int) -> "IndexedElement":
-        if not self.contains(i):
-            raise AlgebraError(f"index {i} outside {self.name}")
         return IndexedElement(self, {i: 1})
 
     def element(self, data) -> "IndexedElement":
         return IndexedElement(self, data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexedAlgebra):
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __repr__(self) -> str:
-        return f"IndexedAlgebra({self.name})"
 
 
 def _exact(c: Fraction):
@@ -120,29 +99,22 @@ def _exact(c: Fraction):
 
 
 @cache
-def _constants(rule, min_index: int, modulus: int, s: int, t: int):
-    """The nonzero ``(coefficient, index)`` pairs of ``rule(s, t)``, in
-    the rule's order and checked against the index set ``min_index +
-    modulus * k``, or the message of the first fault, with ``{}`` for
-    the algebra's name.  Keyed on the rule callable and its index set,
-    not on an :class:`IndexedAlgebra`, whose equality compares names
-    only; so each rule is called once per index pair."""
-
-    def outside(i: int) -> bool:
-        return i < min_index or (i - min_index) % modulus != 0
-
-    for i in (s, t):
-        if outside(i):
-            return f"index {i} outside {{}}"
+def _constants(alg: IndexedAlgebra, s: int, t: int) -> tuple[tuple, ...]:
+    """The nonzero ``(coefficient, index)`` pairs of ``alg``'s rule at
+    ``(s, t)`` in the rule's order, ``int`` where integral; the first
+    fault of the pair, the grading or the index set raises.  Keyed on
+    the algebra value, so each rule is called once per valid pair."""
+    _check_index(alg, s)
+    _check_index(alg, t)
     out = []
-    for c, i in rule(s, t):
+    for c, i in alg._rule(s, t):
         c = Fraction(c)
         if not c:
             continue
         if i != s + t:
-            return f"rule of {{}} is not graded at ({s},{t})"
-        if outside(i):
-            return "rule of {} leaves the index set"
+            raise AlgebraError(f"rule of {alg.name} is not graded at ({s},{t})")
+        if not alg.contains(i):
+            raise AlgebraError(f"rule of {alg.name} leaves the index set")
         out.append((_exact(c), i))
     return tuple(out)
 
@@ -150,11 +122,10 @@ def _constants(rule, min_index: int, modulus: int, s: int, t: int):
 def _product(alg: IndexedAlgebra, a: dict, b: dict) -> dict:
     """The product of two ``{index: coefficient}`` combinations of
     ``alg``: the one product kernel of the module."""
-    terms = alg._terms
     out: dict = {}
     for s, cs in a.items():
         for t, ct in b.items():
-            for c, i in terms(s, t):
+            for c, i in _constants(alg, s, t):
                 v = out.get(i, 0) + cs * ct * c
                 if v:
                     out[i] = v
@@ -164,8 +135,9 @@ def _product(alg: IndexedAlgebra, a: dict, b: dict) -> dict:
 
 
 def _vector(alg: IndexedAlgebra, x: "IndexedElement") -> dict:
-    """The kernel's ``{index: coefficient}`` form of an element of ``alg``."""
-    if x.alg != alg:
+    """The kernel's ``{index: coefficient}`` form of an element of ``alg``
+    (identity first: value equality compares every field)."""
+    if x.alg is not alg and x.alg != alg:
         raise AlgebraError(x._mismatch)
     return {i: _exact(c) for i, c in x.terms}
 

@@ -32,8 +32,9 @@ window; it builds a block when it is first needed.  A
 :class:`QuotientSpace` is an immutable ``(presentation, truncation)``
 value whose truncation only gates which blocks it may read: ``reduce``
 reads the blocks its argument touches, ``basis`` and ``dimension`` every
-block of their degree.  It provides normal forms, bases, dimensions,
-left-multiplication operator matrices and a bounded Engel probe.
+block of their degree.  It provides normal forms, bases and dimensions;
+the module functions :func:`left_mul_matrix` and :func:`engel_index`
+give left-multiplication operator matrices and a bounded Engel probe.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import random
 import time
 from collections import Counter
 from contextlib import contextmanager
+from functools import cache
 from math import factorial
 
 from derivalg import structconst
@@ -36,7 +37,6 @@ from derivalg.freealg import (
 )
 from derivalg.genpos import certificate, span_check
 from derivalg.structconst import (
-    IndexedAlgebra,
     builtin,
     check_identity,
     derivation_of_power,
@@ -83,22 +83,24 @@ def ternary_nilpotent():
 
 
 def count_identity_work(monkeypatch):
-    """Count the basis tuples ``check_identity`` evaluates and the
-    product-rule calls it makes; ``monkeypatch`` restores both."""
+    """Count the basis tuples ``check_identity`` evaluates and its calls
+    of the product rule, through a fresh structure-constant memo (clear
+    it to count a pass from cold); ``monkeypatch`` restores both."""
     work = Counter()
     evaluate = structconst.evaluate
-    rule = IndexedAlgebra.rule
+    constants = structconst._constants.__wrapped__
 
     def counted_evaluate(*args, **kwargs):
         work["tuples"] += 1
         return evaluate(*args, **kwargs)
 
-    def counted_rule(self, s, t):
+    def counted_constants(alg, s, t):
+        # each miss of the memo calls the rule once
         work["rules"] += 1
-        return rule(self, s, t)
+        return constants(alg, s, t)
 
     monkeypatch.setattr(structconst, "evaluate", counted_evaluate)
-    monkeypatch.setattr(IndexedAlgebra, "rule", counted_rule)
+    monkeypatch.setattr(structconst, "_constants", cache(counted_constants))
     return work
 
 
@@ -113,6 +115,7 @@ def test_criterion_1_structure_constant_identities(monkeypatch):
         assert work["tuples"] == 14**3
         assert work["rules"] <= 14**3 * 8
         work.clear()
+        structconst._constants.cache_clear()
         assert check_identity(w, named_identity("novikov"), -1, 12) is None
         assert work["tuples"] == 14**3
         assert work["rules"] <= 14**3 * 4

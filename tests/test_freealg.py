@@ -17,7 +17,6 @@ from derivalg.freealg import (
     enumerate_reduced,
     generator,
     generators,
-    generator_degrees,
     is_canonical,
     node,
     normalize,
@@ -177,7 +176,7 @@ def test_words_of_content_match_normalized_raw_trees(sig):
             assert all(words[i] < words[i + 1] for i in range(len(words) - 1))
             for w in words:
                 assert w.content == tuple(sorted(leaf_count(w).items()))
-                degs = generator_degrees(w)
+                degs = dict(w.content)
                 assert tuple(degs.get(i, 0) for i in range(1, n + 1)) == content
             got.update(words)
     assert got == want
@@ -299,14 +298,6 @@ def test_substitute_unassigned_variable():
     (x,) = generators(S21)
     with pytest.raises(AlgebraError):
         substitute(z1 * z2, {1: x})
-
-
-def test_generator_degrees():
-    x1, x2 = (generator(1), generator(2))
-    w = node([node([x1, x2]), x1])
-    assert generator_degrees(w) == {1: 2, 2: 1}
-    assert generator_degrees(x2) == {2: 1}
-    assert generator_degrees(UNIT) == {}
 
 
 CONTENT_SIGS = [S21, S22, S24, S31, Signature(3, True, False, 2)]

@@ -304,6 +304,33 @@ def test_algebras_sharing_a_name_keep_their_own_rules():
         assert check_identity(leibniz_like, novikov, 0, 4).indices == (0, 1, 2)
 
 
+def test_indexed_algebras_are_values():
+    calls = Counter()
+
+    def witt(s, t):
+        calls[s, t] += 1
+        return [(t + 1, s + t)]
+
+    a = IndexedAlgebra("twin", "a", witt, 0)
+    b = IndexedAlgebra("twin", "a", lambda s, t: [(t + 1 if s == 0 else 1, s + t)], 0)
+    assert a != b and hash(a) != hash(b) and len({a, b}) == 2
+    assert a != IndexedAlgebra("twin", "a", witt, 1)
+    assert a != IndexedAlgebra("twin", "a", witt, 0, modulus=2)
+    assert a.basis(1) != b.basis(1)
+    with pytest.raises(AlgebraError, match="elements of different indexed algebras"):
+        a.basis(1) * b.basis(1)
+    with pytest.raises(AlgebraError, match="elements of different indexed algebras"):
+        evaluate(a, novikov_identity().element, [b.basis(1), b.basis(2), b.basis(3)])
+
+    # separately built with equal fields: one value, one memo of constants
+    twin = IndexedAlgebra("twin", "a", witt, 0)
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert a.basis(1) * twin.basis(2) == 3 * twin.basis(3)
+    for alg in (a, twin):
+        assert check_identity(alg, novikov_identity(), 0, 4) is None
+    assert calls and max(calls.values()) == 1
+
+
 def test_rule_is_called_once_per_index_pair():
     calls = Counter()
 

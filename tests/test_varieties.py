@@ -18,7 +18,6 @@ from derivalg.freealg import (
     bracket,
     enumerate_reduced,
     generator,
-    generator_degrees,
     generators,
     node,
     substitute,
@@ -110,7 +109,7 @@ def test_partial_linearization_needs_repeats():
 def test_one_hole_contexts_small():
     ctxs = one_hole_contexts(S21, (2,))
     assert len(ctxs) == 2
-    assert all(generator_degrees(w) == {1: 2, 2: 1} for w in ctxs)
+    assert all(dict(w.content) == {1: 2, 2: 1} for w in ctxs)
     # the bare marker is the unique context of empty content
     assert one_hole_contexts(S21, (0,)) == (generator(2),)
     # incompatible degrees give nothing
@@ -437,7 +436,7 @@ def test_relation_rows_of_one_content_filter_all_rows():
     presentation = quotient_space(binary_nilpotent(), 7).doubled().presentation
 
     def content_of(w):
-        degs = generator_degrees(w)
+        degs = dict(w.content)
         return degs.get(1, 0), degs.get(2, 0)
 
     for degree in (4, 6):
